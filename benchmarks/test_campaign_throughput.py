@@ -5,7 +5,7 @@ of runs" north star rests on.  Eight independent seeds of the truncated
 ``small`` window are swept once serially (the ground truth) and then through
 the persistent backend at workers ∈ {1, 2, 4} — each count measured twice,
 cold (fresh workers, first dispatch pays interpreter start-up and scenario
-import) and warm (same workers, stores cleared, template caches primed) —
+import) and warm (same workers, stores cleared, primed workers) —
 yielding the scaling curve.
 
 The speedup floors are **host-aware** (the previous fixed floor was recorded
@@ -68,8 +68,9 @@ def test_campaign_throughput_scaling_curve():
         for workers in CURVE_WORKERS:
             with PersistentBackend(workers=workers) as backend:
                 cold = _sweep(f"{tmp}/cold-{workers}", backend)
-                # Same workers, fresh store: interpreter start-up and warm
-                # caches are already paid, leaving pure dispatch + compute.
+                # Same workers, fresh store: interpreter start-up and imports
+                # are already paid by the primed workers, leaving pure
+                # dispatch + compute.
                 shutil.rmtree(f"{tmp}/cold-{workers}", ignore_errors=True)
                 warm = _sweep(f"{tmp}/warm-{workers}", backend)
             curve.append(

@@ -7,10 +7,11 @@ statistically meaningful collections of runs:
   named scenario (or a grid of builder overrides) crossed with a
   ``SeedSequence``-derived seed range, expanding to picklable
   :class:`RunSpec` triples;
-* :mod:`repro.campaigns.backends` — the pluggable :class:`ExecutionBackend`
-  protocol and its implementations (``serial`` / ``spawn`` /
-  ``persistent``), plus :class:`WorkerConfig`, the one worker-configuration
-  surface shared by the executor, ``repro sweep`` and ``repro serve``;
+* :mod:`repro.campaigns.backends` — the two ways to execute a run:
+  :class:`SerialBackend` (in process, the byte-identity reference) and
+  :class:`PersistentBackend` (long-lived worker processes that take a run,
+  execute it, persist it and report back, in a loop), plus
+  :class:`WorkerConfig`, the worker count the backend follows from;
 * :mod:`repro.campaigns.executor` — :class:`CampaignExecutor`, the driver
   that expands a spec, resumes completed runs from the store, and fans the
   rest out over an execution backend;
@@ -21,11 +22,11 @@ statistically meaningful collections of runs:
 
 Quickstart::
 
-    from repro.campaigns import CampaignExecutor, CampaignSpec, RunStore
+    from repro.campaigns import CampaignExecutor, CampaignSpec, RunStore, WorkerConfig
 
     spec = CampaignSpec(scenario="march-2020-only", seeds=8)
     store = RunStore("runs")
-    CampaignExecutor(spec, store, backend="persistent").execute()
+    CampaignExecutor(spec, store, backend=WorkerConfig(workers=4)).execute()
 
     from repro.campaigns import aggregate_campaign, render_comparison
     print(render_comparison(aggregate_campaign(store, spec.campaign)))
@@ -35,9 +36,9 @@ or, from the shell::
     repro sweep --scenario march-2020-only --seeds 8 --workers 4
     repro compare
 
-``--workers 4`` auto-selects the persistent backend; pin one explicitly
-with ``--backend serial|spawn|persistent``.  All backends produce
-byte-identical store files, so the choice is purely about throughput.
+``--workers 1`` (the default) runs in process; ``--workers N`` with
+``N > 1`` runs on ``N`` persistent workers.  Both produce byte-identical
+store files, so the choice is purely about throughput.
 """
 
 from .aggregate import (
@@ -49,24 +50,12 @@ from .aggregate import (
     render_comparison,
     scalar_fields,
 )
-from .backends import (
-    BACKEND_NAMES,
-    ExecutionBackend,
-    PersistentBackend,
-    SerialBackend,
-    SpawnBackend,
-    TaskBatch,
-    WorkerConfig,
-    backend_names,
-    create_backend,
-    register_backend,
-)
-from .executor import CampaignExecutor, CampaignResult, RunJob, WarmRunContext, execute_job
+from .backends import ExecutionBackend, PersistentBackend, SerialBackend, WorkerConfig
+from .executor import CampaignExecutor, CampaignResult, RunJob, execute_job
 from .spec import OVERRIDE_KEYS, CampaignSpec, RunSpec, apply_overrides, spawn_seeds
 from .store import RunStore
 
 __all__ = [
-    "BACKEND_NAMES",
     "CampaignAggregate",
     "CampaignExecutor",
     "CampaignResult",
@@ -80,17 +69,11 @@ __all__ = [
     "RunSpec",
     "RunStore",
     "SerialBackend",
-    "SpawnBackend",
-    "TaskBatch",
     "VariantAggregate",
-    "WarmRunContext",
     "WorkerConfig",
     "aggregate_campaign",
     "apply_overrides",
-    "backend_names",
-    "create_backend",
     "execute_job",
-    "register_backend",
     "render_comparison",
     "scalar_fields",
     "spawn_seeds",

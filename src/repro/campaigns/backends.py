@@ -1,128 +1,67 @@
-"""Pluggable campaign execution backends.
+"""Campaign execution backends: in process, or on persistent workers.
 
 The :class:`ExecutionBackend` protocol is the seam between *what* a
 campaign runs (:class:`~repro.campaigns.executor.RunJob`) and *how* it
-runs.  Three implementations ship, registered under the names the CLI
-(``repro sweep --backend`` / ``repro serve --backend``) exposes:
+runs.  Two implementations ship:
 
-``serial``
-    In-process, one run after another — the ground truth every parallel
-    backend is byte-compared against.
-``spawn``
-    The legacy per-campaign ``multiprocessing`` spawn pool: fresh worker
-    processes per ``execute()``, torn down when the campaign ends.
-``persistent``
-    Long-lived worker processes started once and reused across campaigns.
-    Tasks travel as compact :class:`TaskBatch` messages grouped by
-    :attr:`~repro.campaigns.spec.RunSpec.warm_key`, so grid points sharing
-    a scenario/seed land on the same worker and reuse its
-    :class:`~repro.campaigns.executor.WarmRunContext` (warm scenario
-    template: the price feed today).  Outcomes come back over one shared
-    result queue; a collector thread routes them to the dispatching
-    caller, which makes :meth:`PersistentBackend.run` safe to call from
-    several threads at once (the service supervisor does).
+:class:`SerialBackend`
+    In process, one run after another — the byte-identity reference every
+    parallel execution is compared against, and the ``workers == 1`` path.
+:class:`PersistentBackend`
+    ``N`` long-lived worker processes, started once and reused across
+    campaigns and service jobs.  Each worker takes a job, runs it, persists
+    it and reports back, in a loop.  Outcomes come back over the worker's
+    result pipe — preceded, for jobs that ask for a stream, by that run's
+    encoded event lines in buffered chunks — and a collector thread routes
+    them to the dispatching caller, which makes :meth:`PersistentBackend.run`
+    and :meth:`PersistentBackend.execute_one` safe to call from several
+    threads at once (the service supervisor does).
 
-All three produce byte-identical :class:`~repro.campaigns.store.RunStore`
-files: every run is independently seeded, ``reset_run_state()`` rewinds
-global counters per run, and only immutable seed-determined ingredients
-are ever reused warm.
+Both produce byte-identical :class:`~repro.campaigns.store.RunStore`
+files: every run is independently seeded and rebuilt from its spec, and
+``reset_run_state()`` rewinds the global counters at the start of each run.
 
-:class:`WorkerConfig` is the one worker-configuration surface shared by
-the executor kwargs, ``repro sweep`` flags and ``repro serve`` flags; it
-round-trips through run manifests (the ``"execution"`` block) so a
-resumed sweep records which backend produced each run.
-
-Register additional backends with :func:`register_backend`; see
-CONTRIBUTING "Adding an execution backend".
+:class:`WorkerConfig` is the worker count behind ``CampaignExecutor`` and
+``repro sweep --workers``; the backend follows from it.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 import queue
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Mapping, Protocol, Sequence, runtime_checkable
+from multiprocessing.connection import wait
+from typing import Iterator, Protocol, Sequence, runtime_checkable
 
-from .executor import _WORKER_STATE, RunJob, RunOutcome, WarmRunContext, execute_job
+from .executor import _WORKER_STATE, LineCallback, RunJob, RunOutcome, execute_job
 
 __all__ = [
-    "BACKEND_NAMES",
     "ExecutionBackend",
     "PersistentBackend",
     "SerialBackend",
-    "SpawnBackend",
-    "TaskBatch",
     "WorkerConfig",
-    "backend_names",
-    "create_backend",
-    "register_backend",
 ]
 
-#: Warm-key affinity entries the persistent backend remembers across calls.
-_AFFINITY_CAPACITY = 128
+#: Longest the collector waits before picking up a respawned worker's pipe.
+_RESCAN_SECONDS = 0.2
 
 
 @dataclass(frozen=True)
 class WorkerConfig:
-    """The unified worker configuration: which backend, how many workers.
+    """How many workers run a campaign: 1 in process, more on persistent workers."""
 
-    One dataclass behind ``CampaignExecutor(backend=...)``,
-    ``repro sweep --backend/--workers`` and ``repro serve --backend/--workers``.
-    :meth:`describe` / :meth:`from_payload` round-trip it through the run
-    manifest's ``"execution"`` block.
-    """
-
-    backend: str = "serial"
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if not self.backend:
-            raise ValueError("backend name must be non-empty")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
 
-    @classmethod
-    def resolve(cls, backend: str | None = None, workers: int | None = None) -> "WorkerConfig":
-        """Resolve CLI-style inputs: ``auto`` picks serial or persistent.
-
-        ``backend=None``/``"auto"`` maps to serial when ``workers`` is unset
-        or 1, persistent otherwise.  A parallel backend with no worker count
-        gets a host-derived default (2–4, capped by CPU count).
-        """
-        name = backend or "auto"
-        if name == "auto":
-            name = "serial" if not workers or int(workers) <= 1 else "persistent"
-        if name == "serial":
-            return cls()
-        if workers is None:
-            workers = min(4, max(2, os.cpu_count() or 1))
-        return cls(backend=name, workers=max(int(workers), 1))
-
-    @classmethod
-    def from_workers(cls, workers: int) -> "WorkerConfig":
-        """The deprecated ``CampaignExecutor(workers=N)`` mapping.
-
-        ``N > 1`` used to mean a per-campaign spawn pool, so the shim
-        preserves exactly that; ``N <= 1`` is serial.
-        """
-        workers = max(int(workers), 1)
-        return cls(backend="spawn", workers=workers) if workers > 1 else cls()
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, Any]) -> "WorkerConfig":
-        """Rebuild from a manifest ``"execution"`` block."""
-        return cls(backend=str(payload["backend"]), workers=int(payload["workers"]))
-
-    def describe(self) -> dict[str, Any]:
-        """The JSON-ready manifest form (see :meth:`from_payload`)."""
-        return {"backend": self.backend, "workers": self.workers}
-
     def create(self) -> "ExecutionBackend":
-        """Instantiate the configured backend from the registry."""
-        return create_backend(self)
+        """The backend this worker count calls for."""
+        if self.workers == 1:
+            return SerialBackend()
+        return PersistentBackend(self.workers)
 
 
 @runtime_checkable
@@ -133,19 +72,19 @@ class ExecutionBackend(Protocol):
     persisted files may not depend on which backend (or worker) ran it.
     ``run`` yields outcomes as runs finish (unordered on parallel
     backends); ``execute_one`` is the thread-safe single-run entry the
-    service supervisor uses.  ``close`` releases resources gracefully,
-    ``terminate`` forcefully (in-flight runs surface as failed outcomes —
-    resumable, since interrupted runs never write a manifest).
+    service supervisor uses, and hands a streaming job's encoded lines to
+    ``on_lines`` before it returns (on another thread, for parallel
+    backends: the callback must return quickly and must not raise).  ``close`` releases resources
+    gracefully, ``terminate`` forcefully (in-flight runs surface as failed
+    outcomes — resumable, since interrupted runs never write a manifest).
     """
 
     name: str
     workers: int
 
-    def run(
-        self, jobs: Sequence[RunJob], *, extra_probes: tuple = ()
-    ) -> Iterator[RunOutcome]: ...
+    def run(self, jobs: Sequence[RunJob]) -> Iterator[RunOutcome]: ...
 
-    def execute_one(self, job: RunJob) -> RunOutcome: ...
+    def execute_one(self, job: RunJob, on_lines: LineCallback | None = None) -> RunOutcome: ...
 
     def close(self) -> None: ...
 
@@ -153,35 +92,29 @@ class ExecutionBackend(Protocol):
 
 
 class SerialBackend:
-    """In-process execution, one run after another (the ground truth).
-
-    ``warm=True`` opts into the same :class:`WarmRunContext` reuse the
-    persistent workers apply — off by default so the serial store remains
-    the cold-path reference that byte-identity tests compare against.
-    """
+    """In-process execution, one run after another (the reference)."""
 
     name = "serial"
     workers = 1
 
-    def __init__(self, *, warm: bool = False) -> None:
-        self._warm = WarmRunContext() if warm else None
+    def __init__(self) -> None:
         # execute_job mutates process-global state (telemetry install,
-        # runtime_state resets): one lock keeps concurrent callers — the
-        # service's worker slots — from interleaving runs.
+        # runtime_state resets): one lock keeps concurrent callers from
+        # interleaving runs.
         self._lock = threading.Lock()
 
-    def run(self, jobs: Sequence[RunJob], *, extra_probes: tuple = ()) -> Iterator[RunOutcome]:
+    def run(self, jobs: Sequence[RunJob]) -> Iterator[RunOutcome]:
         with self._lock:
             # Parallel backends give every campaign fresh workers; give the
             # serial path the same contract, or task indices and idle gaps
             # would span earlier campaigns run in this process.
             _WORKER_STATE.clear()
             for job in jobs:
-                yield execute_job(job, extra_probes=extra_probes, warm=self._warm)
+                yield execute_job(job)
 
-    def execute_one(self, job: RunJob) -> RunOutcome:
+    def execute_one(self, job: RunJob, on_lines: LineCallback | None = None) -> RunOutcome:
         with self._lock:
-            return execute_job(job, warm=self._warm)
+            return execute_job(job, on_lines=on_lines)
 
     def close(self) -> None:
         pass
@@ -190,113 +123,50 @@ class SerialBackend:
         pass
 
 
-class SpawnBackend:
-    """The per-campaign ``multiprocessing`` spawn pool (the legacy fan-out).
+def persistent_worker_main(task_queue, results) -> None:
+    """One long-lived worker process: take a job, run it, persist it, report.
 
-    Each :meth:`run` call builds a fresh pool sized to the batch and tears
-    it down afterwards — workers pay interpreter start-up plus the scenario
-    registry import per campaign, which is why the persistent backend
-    exists.  :meth:`execute_one` keeps one long-lived pool instead, so the
-    service path is not charged a spawn per run.
-    """
-
-    name = "spawn"
-
-    def __init__(self, workers: int = 2) -> None:
-        self.workers = max(int(workers), 1)
-        self._context = multiprocessing.get_context("spawn")
-        self._pool = None  # lazy: only the execute_one path needs it
-        self._lock = threading.Lock()
-
-    def run(self, jobs: Sequence[RunJob], *, extra_probes: tuple = ()) -> Iterator[RunOutcome]:
-        jobs = list(jobs)
-        if self.workers <= 1 or len(jobs) < 2:
-            # Nothing to fan out: run in-process (and keep probe support).
-            _WORKER_STATE.clear()
-            for job in jobs:
-                yield execute_job(job, extra_probes=extra_probes)
-            return
-        if extra_probes:
-            raise ValueError(
-                "extra_probes cannot cross the process boundary; use the serial backend"
-            )
-        # Spawn (not fork) so workers start from a clean interpreter on
-        # every platform; each one re-imports the scenario registry.
-        with self._context.Pool(processes=min(self.workers, len(jobs))) as pool:
-            yield from pool.imap_unordered(execute_job, jobs)
-
-    def execute_one(self, job: RunJob) -> RunOutcome:
-        with self._lock:
-            if self._pool is None:
-                self._pool = self._context.Pool(processes=self.workers)
-            pool = self._pool
-        return pool.apply(execute_job, (job,))
-
-    def close(self) -> None:
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.close()
-            pool.join()
-
-    def terminate(self) -> None:
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.terminate()
-            pool.join()
-
-
-@dataclass(frozen=True)
-class TaskBatch:
-    """Compact dispatch message: runs sharing one warm worker, in order.
-
-    Only :class:`RunJob` tuples cross the process boundary (PKL003);
-    outcomes come back as individual :class:`RunOutcome` messages so the
-    parent folds progress per run, not per batch.
-    """
-
-    jobs: tuple[RunJob, ...]
-
-
-def persistent_worker_main(task_queue, result_queue) -> None:
-    """One long-lived worker process: pull batches, execute, report.
-
-    Runs until the ``None`` sentinel arrives.  The worker's
-    :class:`~repro.campaigns.executor.WarmRunContext` lives for the whole
-    process, so every batch (and every campaign dispatched to a long-lived
-    backend) benefits from previously warmed ingredients.
+    Runs until the ``None`` sentinel arrives.  Every message sent on
+    ``results`` (this worker's own pipe to the parent) is
+    ``(job.target, item)``: ``item`` is a chunk of encoded stream lines
+    (``str``) or the run's final :class:`RunOutcome`, which always follows
+    the run's chunks.  Sends block while the pipe is full, so a slow parent
+    throttles the stream instead of buffering it.
     """
     _WORKER_STATE.clear()
-    warm = WarmRunContext()
-    while True:
-        batch = task_queue.get()
-        if batch is None:
-            return
-        for job in batch.jobs:
+    try:
+        while True:
+            job = task_queue.get()
+            if job is None:
+                return
+            target = job.target
             # execute_job captures run failures as outcome.error, so one
             # pathological run cannot take the worker down with it.
-            result_queue.put(execute_job(job, warm=warm))
+            outcome = execute_job(job, on_lines=lambda text: results.send((target, text)))
+            results.send((target, outcome))
+    except KeyboardInterrupt:
+        # A terminal Ctrl-C reaches the whole process group: exit quietly
+        # and let the parent, interrupted too, report the lost runs.
+        return
 
 
 class PersistentBackend:
-    """Long-lived worker processes shared across campaigns.
+    """Long-lived worker processes shared across campaigns and service jobs.
 
-    ``N`` spawn processes are started once (lazily, on the first
-    :meth:`run`) and fed :class:`TaskBatch` messages over per-worker task
-    queues; a shared result queue carries outcomes back.  Batches are
-    grouped by :attr:`~repro.campaigns.spec.RunSpec.warm_key` with sticky
-    affinity — a key dispatched twice lands on the same worker, so its
-    warm cache keeps paying across campaigns — and balanced by outstanding
-    load otherwise.
+    ``N`` spawn processes are started once (lazily, on the first dispatch)
+    and fed :class:`RunJob` s over per-worker task queues, each job to the
+    worker with the fewest outstanding runs.  Each worker sends stream
+    chunks and outcomes back over its own result pipe: with no pipe shared
+    between workers, a worker killed mid-send can corrupt nothing but its
+    own channel, and the end of that channel is how its death is noticed.
 
-    A daemon collector thread routes each outcome to the queue of the
-    :meth:`run` call that dispatched it, which makes dispatch thread-safe
-    (the service supervisor calls :meth:`execute_one` from several slots
-    concurrently).  The collector also watches for worker death: a worker
-    that disappears mid-task has its pending runs reported as failed
-    outcomes (never silently dropped — the campaign completes and a
-    re-execute resumes exactly the lost runs) and its slot respawned.
+    A daemon collector thread routes each message to the call that
+    dispatched the run, keyed by :attr:`RunJob.target` (store root,
+    campaign, run id), so concurrent callers may dispatch runs that share a
+    run id in different campaigns or stores.  A worker that exits mid-task
+    has its pending runs reported as failed outcomes (never silently
+    dropped — a re-execute resumes exactly the lost runs) and its slot
+    respawned.
 
     Use as a context manager, or call :meth:`close` when done; an
     executor-owned instance is closed by ``CampaignExecutor.execute``.
@@ -304,25 +174,21 @@ class PersistentBackend:
 
     name = "persistent"
 
-    def __init__(self, workers: int = 2, *, batch_size: int | None = None) -> None:
+    def __init__(self, workers: int = 2) -> None:
         self.workers = max(int(workers), 1)
-        #: Maximum runs per dispatch message (``None``: one batch per
-        #: warm-key group).  Smaller batches interleave progress better;
-        #: larger ones amortise queue overhead.
-        self.batch_size = batch_size
         self._context = multiprocessing.get_context("spawn")
         self._lock = threading.Lock()
         self._procs: list = [None] * self.workers
         self._task_queues: list = [None] * self.workers
-        self._result_queue = None
+        self._readers: list = [None] * self.workers
         self._collector: threading.Thread | None = None
         self._started = False
         self._closed = False
-        #: run_id -> (worker slot, the dispatching caller's outcome queue).
-        self._pending: dict[str, tuple[int, "queue.Queue[RunOutcome]"]] = {}
+        #: job target -> (worker slot, the caller's outcome queue, its line callback).
+        self._pending: dict[
+            tuple[str, str, str], tuple[int, "queue.Queue[RunOutcome]", LineCallback | None]
+        ] = {}
         self._outstanding: list[int] = [0] * self.workers
-        #: warm_key -> worker slot (sticky affinity across run() calls).
-        self._affinity: "OrderedDict[tuple, int]" = OrderedDict()
 
     # -------------------------------------------------------------- #
     # Lifecycle
@@ -334,7 +200,6 @@ class PersistentBackend:
                 return self
             if self._closed:
                 raise RuntimeError("persistent backend already closed")
-            self._result_queue = self._context.Queue()
             for slot in range(self.workers):
                 self._spawn_locked(slot)
             self._collector = threading.Thread(
@@ -346,15 +211,19 @@ class PersistentBackend:
 
     def _spawn_locked(self, slot: int) -> None:
         task_queue = self._context.Queue()
+        reader, writer = self._context.Pipe(duplex=False)
         proc = self._context.Process(
             target=persistent_worker_main,
-            args=(task_queue, self._result_queue),
+            args=(task_queue, writer),
             name=f"persistent-{slot}",
             daemon=True,
         )
         proc.start()
+        # The child holds the only write end now, so its exit ends the pipe.
+        writer.close()
         self._task_queues[slot] = task_queue
         self._procs[slot] = proc
+        self._readers[slot] = reader
 
     def __enter__(self) -> "PersistentBackend":
         return self.start()
@@ -386,21 +255,19 @@ class PersistentBackend:
         if not started:
             return
         for proc in self._procs:
-            if proc is not None and proc.is_alive():
+            if proc.is_alive():
                 proc.terminate()
         self._shutdown(graceful=False)
 
     def _shutdown(self, *, graceful: bool) -> None:
         for proc in self._procs:
-            if proc is not None:
-                proc.join(timeout=30.0 if graceful else 5.0)
+            proc.join(timeout=30.0 if graceful else 5.0)
         for proc in self._procs:
-            if proc is not None and proc.is_alive():  # pragma: no cover - stuck worker
+            if proc.is_alive():  # pragma: no cover - stuck worker
                 proc.terminate()
                 proc.join(timeout=5.0)
-        # The workers have exited, so their queued outcomes are all in the
-        # pipe ahead of this sentinel: the collector drains them, then stops.
-        self._result_queue.put(None)
+        # Every worker has exited, so the collector reads each pipe to its
+        # end (delivering what was sent before the exit), then stops.
         if self._collector is not None:
             self._collector.join(timeout=10.0)
         reason = (
@@ -415,189 +282,115 @@ class PersistentBackend:
             victims = list(self._pending.items())
             self._pending.clear()
             self._outstanding = [0] * self.workers
-        for run_id, (_slot, sink) in victims:
-            sink.put(RunOutcome(run_id=run_id, elapsed_seconds=0.0, error=reason))
+        for target, (_slot, sink, _on_lines) in victims:
+            sink.put(RunOutcome(run_id=target[2], elapsed_seconds=0.0, error=reason))
 
     # -------------------------------------------------------------- #
     # Dispatch
     # -------------------------------------------------------------- #
-    def run(self, jobs: Sequence[RunJob], *, extra_probes: tuple = ()) -> Iterator[RunOutcome]:
-        if extra_probes:
-            raise ValueError(
-                "extra_probes cannot cross the process boundary; use the serial backend"
-            )
+    def run(self, jobs: Sequence[RunJob]) -> Iterator[RunOutcome]:
         jobs = list(jobs)
         if not jobs:
             return
+        sink = self._dispatch(jobs, None)
+        for _ in range(len(jobs)):
+            yield sink.get()
+
+    def execute_one(self, job: RunJob, on_lines: LineCallback | None = None) -> RunOutcome:
+        return self._dispatch([job], on_lines).get()
+
+    def _dispatch(
+        self, jobs: list[RunJob], on_lines: LineCallback | None
+    ) -> "queue.Queue[RunOutcome]":
         self.start()
         sink: "queue.Queue[RunOutcome]" = queue.Queue()
         with self._lock:
             if self._closed:
                 raise RuntimeError("persistent backend is closed")
-            duplicates = [job.run.run_id for job in jobs if job.run.run_id in self._pending]
-            if duplicates:
-                raise ValueError(f"run(s) already in flight: {', '.join(sorted(duplicates))}")
-            for slot, slot_jobs in self._assign_locked(jobs).items():
-                proc = self._procs[slot]
-                if proc is None or not proc.is_alive():
-                    # An idle worker died quietly: replace it before dispatch.
-                    self._spawn_locked(slot)
-                for job in slot_jobs:
-                    self._pending[job.run.run_id] = (slot, sink)
-                self._outstanding[slot] += len(slot_jobs)
-                for chunk in _chunks(slot_jobs, self.batch_size or len(slot_jobs)):
-                    self._task_queues[slot].put(TaskBatch(jobs=tuple(chunk)))
-        for _ in range(len(jobs)):
-            yield sink.get()
-
-    def execute_one(self, job: RunJob) -> RunOutcome:
-        for outcome in self.run([job]):
-            return outcome
-        raise RuntimeError("backend produced no outcome")  # pragma: no cover
-
-    def _assign_locked(self, jobs: Iterable[RunJob]) -> dict[int, list[RunJob]]:
-        """Group jobs by warm key; assign groups to workers.
-
-        Sticky affinity first (a previously-seen key returns to its
-        worker), then greedy least-loaded placement, largest groups first —
-        deterministic given the same jobs and dispatch history.
-        """
-        groups: dict[tuple, list[RunJob]] = {}
-        for job in jobs:
-            groups.setdefault(job.run.warm_key, []).append(job)
-        planned = [0] * self.workers
-        assignments: dict[int, list[RunJob]] = {}
-        ordered = sorted(groups.items(), key=lambda item: (-len(item[1]), repr(item[0])))
-        for key, group in ordered:
-            slot = self._affinity.get(key)
-            if slot is None:
-                load = [self._outstanding[s] + planned[s] for s in range(self.workers)]
-                slot = load.index(min(load))
-            else:
-                self._affinity.move_to_end(key)
-            self._affinity[key] = slot
-            while len(self._affinity) > _AFFINITY_CAPACITY:
-                self._affinity.popitem(last=False)
-            planned[slot] += len(group)
-            assignments.setdefault(slot, []).extend(group)
-        return assignments
+            seen = set(self._pending)
+            clashes = set()
+            for job in jobs:
+                if job.target in seen:
+                    clashes.add(job.target)
+                seen.add(job.target)
+            if clashes:
+                names = sorted(f"{campaign}/{run_id}" for _, campaign, run_id in clashes)
+                raise ValueError(f"run(s) already in flight: {', '.join(names)}")
+            for job in jobs:
+                slot = self._outstanding.index(min(self._outstanding))
+                self._pending[job.target] = (slot, sink, on_lines)
+                self._outstanding[slot] += 1
+                self._task_queues[slot].put(job)
+        return sink
 
     # -------------------------------------------------------------- #
     # Collection
     # -------------------------------------------------------------- #
     def _collect(self) -> None:
-        """Route outcomes to their dispatching callers; watch for deaths."""
+        """Route worker messages to their dispatching callers until shut down."""
         while True:
-            try:
-                outcome = self._result_queue.get(timeout=0.2)
-            except queue.Empty:
-                self._reap_dead_workers()
-                continue
-            except (EOFError, OSError):  # pragma: no cover - queue torn down
-                return
-            if outcome is None:
-                return
-            self._deliver(outcome)
+            with self._lock:
+                readers = {
+                    reader: slot for slot, reader in enumerate(self._readers) if reader is not None
+                }
+                if self._closed and not readers:
+                    return
+            # The timeout picks up the pipes of workers respawned meanwhile.
+            for reader in wait(list(readers), timeout=_RESCAN_SECONDS):
+                try:
+                    target, item = reader.recv()
+                except (EOFError, OSError):
+                    self._worker_exited(readers[reader], reader)
+                    continue
+                if isinstance(item, str):
+                    self._stream(target, item)
+                else:
+                    self._deliver(target, item)
 
-    def _deliver(self, outcome: RunOutcome) -> None:
+    def _stream(self, target: tuple[str, str, str], text: str) -> None:
         with self._lock:
-            entry = self._pending.pop(outcome.run_id, None)
+            entry = self._pending.get(target)
+        if entry is not None and entry[2] is not None:
+            entry[2](text)
+
+    def _deliver(self, target: tuple[str, str, str], outcome: RunOutcome) -> None:
+        with self._lock:
+            entry = self._pending.pop(target, None)
             if entry is None:
-                return  # already synthesized as a worker-death failure
-            slot, sink = entry
+                return  # already failed by a shutdown
+            slot, sink, _on_lines = entry
             self._outstanding[slot] -= 1
         sink.put(outcome)
 
-    def _reap_dead_workers(self) -> None:
-        """Fail (and respawn) workers that died with tasks outstanding.
+    def _worker_exited(self, slot: int, reader) -> None:
+        """A worker's pipe ended: fail its pending runs and respawn the slot.
 
-        The dead worker's queued-but-unstarted batches are *not* re-run on
+        The dead worker's queued-but-unstarted jobs are *not* re-run on
         another worker — re-dispatching could race a half-finished store
         write from the moment of death.  Its pending runs fail loudly
         instead; interrupted runs never wrote a manifest, so re-executing
-        the campaign resumes exactly the lost runs.
+        the campaign resumes exactly the lost runs.  During shutdown the
+        slot is only retired: :meth:`_shutdown` fails what is left.
         """
-        victims: list[tuple[str, "queue.Queue[RunOutcome]", int, int | None]] = []
+        reader.close()
         with self._lock:
+            self._readers[slot] = None
             if self._closed:
                 return
-            for slot, proc in enumerate(self._procs):
-                if proc is None or proc.is_alive() or self._outstanding[slot] == 0:
-                    continue
-                exitcode = proc.exitcode
-                lost = [run_id for run_id, (s, _) in self._pending.items() if s == slot]
-                for run_id in lost:
-                    victims.append((run_id, self._pending.pop(run_id)[1], slot, exitcode))
-                self._outstanding[slot] = 0
-                self._spawn_locked(slot)
-        for run_id, sink, slot, exitcode in victims:
+            proc = self._procs[slot]
+            lost = [target for target, entry in self._pending.items() if entry[0] == slot]
+            sinks = [self._pending.pop(target)[1] for target in lost]
+            self._outstanding[slot] = 0
+            self._spawn_locked(slot)
+        proc.join(timeout=5.0)
+        for target, sink in zip(lost, sinks):
             sink.put(
                 RunOutcome(
-                    run_id=run_id,
+                    run_id=target[2],
                     elapsed_seconds=0.0,
                     error=(
-                        f"persistent worker {slot} exited (code {exitcode}) before "
+                        f"persistent worker {slot} exited (code {proc.exitcode}) before "
                         "completing the run; re-execute the campaign to resume it"
                     ),
                 )
             )
-
-
-def _chunks(items: list, size: int) -> Iterator[list]:
-    size = max(int(size), 1)
-    for index in range(0, len(items), size):
-        yield items[index : index + size]
-
-
-# --------------------------------------------------------------------- #
-# Registry
-# --------------------------------------------------------------------- #
-BackendFactory = Callable[[WorkerConfig], ExecutionBackend]
-
-_BACKEND_FACTORIES: dict[str, BackendFactory] = {}
-
-
-def register_backend(name: str, factory: BackendFactory) -> None:
-    """Register (or replace) a named backend factory.
-
-    ``factory`` receives the resolved :class:`WorkerConfig` and returns an
-    :class:`ExecutionBackend`.  Registered names become valid for
-    ``CampaignExecutor(backend=...)`` and ``WorkerConfig(backend=...)``.
-    """
-    _BACKEND_FACTORIES[name] = factory
-
-
-def backend_names() -> tuple[str, ...]:
-    """The registered backend names, sorted."""
-    return tuple(sorted(_BACKEND_FACTORIES))
-
-
-def create_backend(config: WorkerConfig) -> ExecutionBackend:
-    """Instantiate the backend a :class:`WorkerConfig` names."""
-    factory = _BACKEND_FACTORIES.get(config.backend)
-    if factory is None:
-        raise KeyError(
-            f"unknown execution backend {config.backend!r}; "
-            f"registered: {', '.join(backend_names())}"
-        )
-    return factory(config)
-
-
-def _make_serial(config: WorkerConfig) -> ExecutionBackend:
-    return SerialBackend()
-
-
-def _make_spawn(config: WorkerConfig) -> ExecutionBackend:
-    return SpawnBackend(config.workers)
-
-
-def _make_persistent(config: WorkerConfig) -> ExecutionBackend:
-    return PersistentBackend(config.workers)
-
-
-register_backend("serial", _make_serial)
-register_backend("spawn", _make_spawn)
-register_backend("persistent", _make_persistent)
-
-#: The built-in backend names (CLI choices).
-BACKEND_NAMES: tuple[str, ...] = ("serial", "spawn", "persistent")

@@ -2,36 +2,30 @@
 
 :class:`CampaignExecutor` expands a :class:`~repro.campaigns.spec.CampaignSpec`
 into runs, skips the ones the store already holds (resume), and hands the
-rest to an :class:`~repro.campaigns.backends.ExecutionBackend` — serial,
-a per-campaign spawn pool, or the persistent worker runtime (see
-:mod:`repro.campaigns.backends`).
+rest to an :class:`~repro.campaigns.backends.ExecutionBackend` — in process,
+or on persistent worker processes (see :mod:`repro.campaigns.backends`).
 
 Only :class:`RunJob` (plain strings/ints/tuples) crosses the process
 boundary; each worker rebuilds its world from ``(scenario, overrides, seed)``
 via the scenario registry, runs it, and writes the experiment JSON straight
-into the store.  Because every run is independently seeded and the store
-serialises deterministically, serial and parallel execution produce
-byte-identical per-run files.  Persistent workers additionally keep a
-:class:`WarmRunContext` — a cache of immutable, seed-determined ingredients
-(the price feed) reused across the grid points assigned to them — without
-touching that contract: everything mutable is rebuilt per run and
-``reset_run_state()`` still rewinds the global counters.
+into the store.  Because every run is independently seeded, rebuilt from
+scratch, and starts with ``reset_run_state()``, and the store serialises
+deterministically, in-process and worker execution produce byte-identical
+per-run files.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import pickle
-import warnings
-from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from ..experiments.runner import run_json
 from ..observers.probes import LiquidationRecorder, MetricsAccumulator
+from ..observers.sinks import JsonlSink
 from ..runtime_state import reset_run_state
-from ..scenarios.builder import ScenarioBuilder, default_price_feed
 from ..serialize import to_jsonable
 from ..telemetry import runtime as telemetry_runtime
 from ..telemetry.clock import perf_seconds
@@ -40,16 +34,21 @@ from .spec import CampaignSpec, RunSpec
 from .store import RunStore
 
 if TYPE_CHECKING:
-    from ..oracle.feed import PriceFeed
     from .backends import ExecutionBackend, WorkerConfig
 
 __all__ = [
     "CampaignExecutor",
     "CampaignResult",
     "RunJob",
-    "WarmRunContext",
     "execute_job",
 ]
+
+#: Receives a streaming run's encoded JSONL lines, a chunk at a time.
+LineCallback = Callable[[str], None]
+
+#: Characters a streaming run buffers before handing a chunk on.  Below
+#: 16 KiB, so each chunk crosses a worker's result pipe in a single write.
+STREAM_CHUNK_CHARS = 8192
 
 #: Progress callback: ``(done, total, run_id, status, elapsed_seconds)``.
 ProgressCallback = Callable[[int, int, str, str, float], None]
@@ -68,11 +67,20 @@ class RunJob:
     run: RunSpec
     experiments: tuple[str, ...]
     collect_telemetry: bool = True
-    #: The worker configuration that dispatched this job, recorded into the
-    #: run manifest (``"execution"``) so a resumed sweep can tell which
-    #: backend produced each run.  ``None`` (direct ``execute_job`` calls,
-    #: the service's streaming path) writes no execution block.
-    worker_config: "WorkerConfig | None" = None
+    #: ``(backend name, worker count)`` that dispatched this job, recorded
+    #: into the run manifest's ``"execution"`` block so a store tells which
+    #: backend produced each run.  ``None`` (direct ``execute_job`` calls)
+    #: writes no execution block.
+    execution: tuple[str, int] | None = None
+    #: Stream the run's events, plus ``hf_sample`` lines for positions whose
+    #: health factor is below this value, to the dispatcher's line callback.
+    #: ``None`` streams nothing.
+    sample_below: float | None = None
+
+    @property
+    def target(self) -> tuple[str, str, str]:
+        """The run directory this job writes: ``(store_root, campaign, run_id)``."""
+        return (self.store_root, self.campaign, self.run.run_id)
 
 
 @dataclass(frozen=True)
@@ -112,8 +120,8 @@ class CampaignResult:
         return len(self.executed) + len(self.resumed) + len(self.failed)
 
 
-#: Per-process worker state, keyed once per interpreter.  Pool and
-#: persistent workers are long-lived across tasks, so ``last_end`` carries
+#: Per-process worker state, keyed once per interpreter.  Persistent
+#: workers are long-lived across tasks, so ``last_end`` carries
 #: from one task to the next and the gap is genuine idle time (waiting on
 #: the parent's dispatch).
 _WORKER_STATE: dict[str, float | int] = {}
@@ -152,80 +160,43 @@ def _valuation_cache_stats(snapshot: dict[str, float]) -> dict:
     }
 
 
-class WarmRunContext:
-    """A worker's cache of deterministic run ingredients reused across tasks.
+class _LineStream:
+    """A streaming run's write-only text handle: hands lines on in chunks."""
 
-    Persistent workers receive *batches* of runs grouped by
-    :attr:`~repro.campaigns.spec.RunSpec.warm_key` — same scenario, same
-    feed-relevant overrides, same seed — so the scenario template they warm
-    up for the first run of a group is valid for the rest.  Only immutable,
-    seed-determined values are cached: today that is the
-    :class:`~repro.oracle.feed.PriceFeed` (never mutated after
-    construction, built purely from ``(scenario, overrides, seed)`` without
-    consuming the builder RNG).  Everything mutable — chain, protocols,
-    agents, probes — is rebuilt per run, and ``reset_run_state()`` still
-    rewinds the global counters, so warm execution stays byte-identical
-    with cold execution.
+    def __init__(self, on_lines: LineCallback) -> None:
+        self._on_lines = on_lines
+        self._parts: list[str] = []
+        self._size = 0
 
-    Scenarios installing a *custom* feed factory are never cached: a custom
-    factory may read the build context (including ``ctx.rng``), so skipping
-    it could change the world.
-    """
+    def write(self, text: str) -> int:
+        self._parts.append(text)
+        self._size += len(text)
+        if self._size >= STREAM_CHUNK_CHARS:
+            self.flush()
+        return len(text)
 
-    def __init__(self, capacity: int = 8) -> None:
-        self.capacity = max(int(capacity), 1)
-        self.feed_hits = 0
-        self.feed_builds = 0
-        self._feeds: "OrderedDict[tuple, PriceFeed]" = OrderedDict()
-
-    def builder_for(self, run: RunSpec) -> ScenarioBuilder:
-        """A fresh builder for ``run``, with cached ingredients injected."""
-        builder = run.builder()
-        if builder.feed_factory is not default_price_feed:
-            return builder
-        key = run.warm_key
-        feed = self._feeds.get(key)
-        if feed is None:
-            feed = builder.build_feed()
-            self.feed_builds += 1
-            self._feeds[key] = feed
-            while len(self._feeds) > self.capacity:
-                self._feeds.popitem(last=False)
-        else:
-            self.feed_hits += 1
-            self._feeds.move_to_end(key)
-        builder.with_price_feed(feed)
-        return builder
-
-    def stats(self) -> dict:
-        """Cache effectiveness counters (persisted into telemetry digests)."""
-        return {
-            "feed_hits": self.feed_hits,
-            "feed_builds": self.feed_builds,
-            "feeds_cached": len(self._feeds),
-        }
+    def flush(self) -> None:
+        if self._parts:
+            self._on_lines("".join(self._parts))
+            self._parts.clear()
+            self._size = 0
 
 
-def execute_job(
-    job: RunJob,
-    extra_probes: tuple = (),
-    warm: WarmRunContext | None = None,
-) -> RunOutcome:
+def execute_job(job: RunJob, on_lines: LineCallback | None = None) -> RunOutcome:
     """Execute one run end-to-end and persist it (runs inside workers).
 
     Failures are captured and reported back as the outcome's ``error``
     instead of raised, so one pathological run cannot abort a campaign (the
     other workers' completed runs are already durable in the store).
 
-    ``extra_probes`` are additional ``engine -> probe`` factories attached
-    after the standard recorder/metrics pair — the service worker streams
-    its event sink and health sampler through here.  They never cross a
-    process boundary (parallel backends refuse them), so the
-    :class:`RunJob` payload stays plainly picklable.
-
-    ``warm`` is the executing worker's :class:`WarmRunContext`; when given,
-    cached immutable ingredients (the price feed) are injected into the
-    run's builder instead of being rebuilt.
+    When ``job.sample_below`` is set and an ``on_lines`` callback is given,
+    the run also streams: a :class:`~repro.observers.sinks.JsonlSink` and a
+    :class:`~repro.service.probes.HealthSampleProbe` write the encoded event
+    and ``hf_sample`` lines, which reach ``on_lines`` in chunks of about
+    :data:`STREAM_CHUNK_CHARS`.  The last line is a ``job_result`` service
+    message carrying ``events_streamed``, and every chunk is handed on
+    before this function returns.  The probes are passive, so a streamed
+    run persists the same bytes as a silent one.
 
     When ``job.collect_telemetry`` is set, the worker installs a
     :class:`~repro.telemetry.runtime.Telemetry` for the duration of the run
@@ -240,22 +211,31 @@ def execute_job(
     # Module-global mutable state (address/tx-hash counters and anything
     # else in the runtime_state registry) is rewound so a run's identifier
     # sequences are independent of how many runs the process executed before
-    # it — serial and pooled execution then produce byte-identical files.
+    # it — in-process and worker execution then produce byte-identical files.
     reset_run_state()
     telemetry = Telemetry(name=job.run.run_id) if job.collect_telemetry else None
     scope = telemetry_runtime.enabled(telemetry) if telemetry else nullcontext()
+    # Stream the liquidation records and the per-step aggregates while the
+    # world advances instead of re-crawling the finished chain: run_json
+    # reads result.records straight off the recorder probe and the manifest
+    # persists the accumulator's metrics.
+    probes = [lambda engine: LiquidationRecorder(), lambda engine: MetricsAccumulator()]
+    stream = sink = None
+    if on_lines is not None and job.sample_below is not None:
+        from ..service.probes import HealthSampleProbe
+        from ..service.transport import encode_message
+
+        stream = _LineStream(on_lines)
+        sink = JsonlSink(stream)
+        sample_below = job.sample_below
+        probes.append(lambda engine: sink)
+        probes.append(
+            lambda engine: HealthSampleProbe(stream, engine.protocols, sample_below=sample_below)
+        )
     try:
         with scope:
-            builder = warm.builder_for(job.run) if warm is not None else job.run.builder()
-            # Stream the liquidation records and the per-step aggregates while
-            # the world advances instead of re-crawling the finished chain:
-            # run_json reads result.records straight off the recorder probe and
-            # the manifest persists the accumulator's metrics.
-            builder.with_probes(
-                lambda engine: LiquidationRecorder(),
-                lambda engine: MetricsAccumulator(),
-                *extra_probes,
-            )
+            builder = job.run.builder()
+            builder.with_probes(*probes)
             with span("job.build"):
                 engine = builder.build()
             with span("job.run"):
@@ -266,8 +246,8 @@ def execute_job(
             with span("job.persist"):
                 store.write_experiments(job.campaign, job.run, outputs)
             with span("job.pickle"):
-                # What imap_unordered would pay to ship the run's outputs
-                # across the process boundary (the 0.73× suspect).
+                # What it costs to ship the run's outputs across a process
+                # boundary, had the worker sent them instead of persisting.
                 pickle_bytes = len(pickle.dumps(outputs, protocol=pickle.HIGHEST_PROTOCOL))
         elapsed = perf_seconds() - started
         digest = _telemetry_digest(
@@ -277,7 +257,6 @@ def execute_job(
             idle_seconds=idle_seconds,
             elapsed_seconds=elapsed,
             pickle_bytes=pickle_bytes,
-            warm=warm,
         )
         store.write_manifest(
             job.campaign,
@@ -287,7 +266,11 @@ def execute_job(
             elapsed_seconds=elapsed,
             metrics=to_jsonable(result.metrics),
             telemetry=digest,
-            execution=job.worker_config.describe() if job.worker_config is not None else None,
+            execution=(
+                {"backend": job.execution[0], "workers": job.execution[1]}
+                if job.execution is not None
+                else None
+            ),
         )
     except Exception as exc:  # noqa: BLE001 - reported, not swallowed
         return RunOutcome(
@@ -297,6 +280,17 @@ def execute_job(
         )
     finally:
         _worker_end()
+        if stream is not None:
+            stream.write(
+                encode_message(
+                    {
+                        "service": "job_result",
+                        "run_id": job.run.run_id,
+                        "events_streamed": sink.events_written,
+                    }
+                )
+            )
+            stream.flush()
     return RunOutcome(run_id=job.run.run_id, elapsed_seconds=elapsed, telemetry=digest)
 
 
@@ -308,7 +302,6 @@ def _telemetry_digest(
     idle_seconds: float,
     elapsed_seconds: float,
     pickle_bytes: int,
-    warm: WarmRunContext | None = None,
 ) -> dict | None:
     """Flatten a run's telemetry into the JSON block the manifest stores."""
     if telemetry is None:
@@ -319,7 +312,7 @@ def _telemetry_digest(
     def seconds(name: str) -> float:
         return round(spans.get(name, {}).get("total_seconds", 0.0), 4)
 
-    digest = {
+    return {
         "worker": worker,
         "task_index": task_index,
         "idle_seconds": round(idle_seconds, 4),
@@ -340,10 +333,6 @@ def _telemetry_digest(
             for name, stats in spans.items()
         },
     }
-    if warm is not None:
-        # Warm-ingredient reuse across the tasks this worker executed so far.
-        digest["warm_feed"] = warm.stats()
-    return digest
 
 
 class CampaignExecutor:
@@ -354,54 +343,25 @@ class CampaignExecutor:
         spec: CampaignSpec,
         store: RunStore | None = None,
         *,
-        backend: "ExecutionBackend | WorkerConfig | str | None" = None,
-        workers: int | None = None,
+        backend: "ExecutionBackend | WorkerConfig | None" = None,
         progress: ProgressCallback | None = None,
         telemetry: bool = True,
     ) -> None:
         """``backend`` selects how runs execute (see :mod:`.backends`):
 
-        * ``None`` — serial (the default);
-        * a backend name (``"serial"`` / ``"spawn"`` / ``"persistent"``) —
-          resolved with a host-derived worker count;
-        * a :class:`~repro.campaigns.backends.WorkerConfig` — fully explicit;
+        * ``None`` — in process (the default);
+        * a :class:`~repro.campaigns.backends.WorkerConfig` — in process at
+          one worker, else that many persistent workers, started for this
+          campaign and closed after it;
         * a live :class:`~repro.campaigns.backends.ExecutionBackend`
           instance — caller-owned: the executor uses it but never closes
           it, so one persistent runtime can span many campaigns.
-
-        ``workers=N`` is the deprecated pre-backend spelling; it maps to the
-        spawn pool it used to mean (``N > 1``) or serial (``N <= 1``).
         """
-        from .backends import WorkerConfig
-
         self.spec = spec
         self.store = store or RunStore()
-        if workers is not None:
-            warnings.warn(
-                "CampaignExecutor(workers=N) is deprecated; pass backend=WorkerConfig(...) "
-                "or a backend name ('serial'/'spawn'/'persistent') instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if backend is None:
-                backend = WorkerConfig.from_workers(workers)
-        self._backend_instance: "ExecutionBackend | None" = None
-        if backend is None:
-            self.backend_config = WorkerConfig()
-        elif isinstance(backend, WorkerConfig):
-            self.backend_config = backend
-        elif isinstance(backend, str):
-            self.backend_config = WorkerConfig.resolve(backend=backend)
-        else:
-            self._backend_instance = backend
-            self.backend_config = WorkerConfig(backend=backend.name, workers=backend.workers)
+        self.backend = backend
         self.progress = progress
         self.telemetry = telemetry
-
-    @property
-    def workers(self) -> int:
-        """The configured worker count (compat view of the backend config)."""
-        return self.backend_config.workers
 
     def _report(self, done: int, total: int, run_id: str, status: str, elapsed: float) -> None:
         if self.progress is not None:
@@ -426,13 +386,19 @@ class CampaignExecutor:
 
     def execute(self) -> CampaignResult:
         """Run (or resume) the campaign; returns the execution summary."""
+        from .backends import WorkerConfig
+
         started = perf_seconds()
+        backend = self.backend or WorkerConfig()
+        owned = isinstance(backend, WorkerConfig)
+        if owned:
+            backend = backend.create()
         campaign = self.spec.campaign
         runs = self.spec.runs()
         result = CampaignResult(
             campaign=campaign,
             store_root=str(self.store.root),
-            backend=self.backend_config.backend,
+            backend=backend.name,
         )
 
         pending: list[RunSpec] = []
@@ -453,14 +419,10 @@ class CampaignExecutor:
                 run=run,
                 experiments=self.spec.experiments,
                 collect_telemetry=self.telemetry,
-                worker_config=self.backend_config,
+                execution=(backend.name, backend.workers),
             )
             for run in pending
         ]
-        backend = self._backend_instance
-        owned = backend is None
-        if owned:
-            backend = self.backend_config.create()
         try:
             if jobs:
                 for outcome in backend.run(jobs):

@@ -173,8 +173,8 @@ class RunStore:
             # persist/pickle cost, valuation-cache hit rate, idle time.
             manifest["telemetry"] = telemetry
         if execution is not None:
-            # Which WorkerConfig (backend name + worker count) produced the
-            # run — round-trips via WorkerConfig.from_payload on resume.
+            # Which backend (name + worker count) produced the run; resume
+            # leaves it as written.
             manifest["execution"] = execution
         (directory / MANIFEST).write_text(_dump(manifest), encoding="utf-8")
         return directory

@@ -18,12 +18,12 @@ requested table/figure reports to stdout (or ``--output``).  ``watch`` is
 the live monitoring loop: it streams at-risk positions, settled
 liquidations and fired incidents to stdout while the world advances
 (optionally teeing the full typed event stream to ``--jsonl``).  ``sweep``
-fans a multi-seed campaign out over a worker pool, persisting every run to
+fans a multi-seed campaign out over persistent workers, persisting every run to
 the on-disk store (``runs/`` by default) so re-running the same sweep
 resumes instead of re-simulating; ``compare`` renders cross-seed statistics
 (mean / stddev / 95 % CI per scalar field) from the store.  ``serve`` turns
 the same machinery into a long-running service: an asyncio supervisor
-executing submitted run/sweep jobs in worker subprocesses, with job
+executing submitted run/sweep jobs on persistent workers, with job
 submission and dashboards over HTTP (``POST /jobs``, ``GET /jobs``,
 ``/alerts``, ``/metrics``) and graceful drain on SIGINT/SIGTERM — see
 :mod:`repro.service`.  Progress lines
@@ -130,12 +130,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument("--scenario", default="small", help="registered scenario name")
     sweep_parser.add_argument("--seeds", type=int, default=4, metavar="N", help="number of independent seeds")
     sweep_parser.add_argument("--base-seed", type=int, default=0, help="SeedSequence entropy for the seed range")
-    sweep_parser.add_argument("--workers", type=int, default=1, metavar="W", help="worker processes (1 = serial)")
     sweep_parser.add_argument(
-        "--backend",
-        default="auto",
-        choices=("auto", "serial", "spawn", "persistent"),
-        help="execution backend (default: auto — serial when --workers 1, persistent otherwise)",
+        "--workers",
+        type=int,
+        default=1,
+        metavar="W",
+        help="1 runs in process (the default); W > 1 runs on W persistent worker processes",
     )
     sweep_parser.add_argument("--store", default="runs", metavar="DIR", help="run store root (default: runs/)")
     sweep_parser.add_argument("--campaign", default=None, help="campaign name (default: the scenario name)")
@@ -175,16 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument("--store", default="runs", metavar="DIR", help="run store root (default: runs/)")
     serve_parser.add_argument(
-        "--workers", type=int, default=4, metavar="W", help="concurrent worker subprocesses (default: 4)"
-    )
-    serve_parser.add_argument(
-        "--backend",
-        default="stream",
-        choices=("stream", "serial", "spawn", "persistent"),
-        help=(
-            "how sweep jobs execute (default: stream — one streaming subprocess "
-            "per run); campaign backends reuse warm workers but do not stream events"
-        ),
+        "--workers", type=int, default=4, metavar="W", help="persistent worker processes (default: 4)"
     )
     serve_parser.add_argument(
         "--run",
@@ -520,19 +511,22 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     from .campaigns import WorkerConfig
 
-    worker_config = WorkerConfig.resolve(backend=args.backend, workers=args.workers)
+    workers = max(args.workers, 1)
+    execution = "in process" if workers == 1 else f"{workers} persistent workers"
     total = len(spec.runs())
     _status(
         f"campaign {spec.campaign!r}: scenario {spec.scenario!r}, "
         f"{len(spec.variants())} variant(s) × {spec.seeds} seed(s) = {total} runs, "
-        f"{worker_config.backend} backend × {worker_config.workers} worker(s), store {args.store}"
+        f"{execution}, store {args.store}"
     )
 
     def progress(done: int, run_total: int, run_id: str, status: str, elapsed: float) -> None:
         timing = f" ({elapsed:.1f}s)" if status != "resumed" else ""
         _status(f"[{done}/{run_total}] {status} {run_id}{timing}")
 
-    executor = CampaignExecutor(spec, RunStore(args.store), backend=worker_config, progress=progress)
+    executor = CampaignExecutor(
+        spec, RunStore(args.store), backend=WorkerConfig(workers=workers), progress=progress
+    )
     result = executor.execute()
     failures = f", {len(result.failed)} failed" if result.failed else ""
     _status(
@@ -581,7 +575,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ServiceConfig(
             store_root=args.store,
             workers=args.workers,
-            backend=args.backend,
             policy=policy,
             drain_timeout=args.drain_timeout,
             resume=not args.no_resume,
@@ -620,7 +613,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     _status(
         f"service: store {args.store}, {args.workers} worker(s), "
-        f"{args.backend} sweep backend, "
         f"alerts warn<{policy.warning_hf} crit<{policy.critical_hf} "
         f"cooldown {policy.cooldown_blocks} blocks"
     )

@@ -2,7 +2,7 @@
 
 The campaign executor's serial-vs-parallel byte-identity rests on two
 facts: only picklable, module-level values cross the process boundary
-(spawn workers rebuild worlds from ``(scenario, overrides, seed)``
+(persistent workers rebuild worlds from ``(scenario, overrides, seed)``
 strings), and every module-global mutable counter is reset at the top of
 each run through the :mod:`repro.runtime_state` registry.  A lambda handed
 to the pool dies with ``PicklingError`` only at runtime — and only on the
@@ -22,8 +22,9 @@ __all__ = ["PicklableCampaignPayloads"]
 
 #: Pool submission APIs whose callable/iterable arguments cross the
 #: process boundary and must therefore be module-level and picklable.
-#: ``put`` / ``put_nowait`` cover the persistent backend's task queues —
-#: its ``TaskBatch`` dispatch messages pickle exactly like pool arguments.
+#: ``put`` / ``put_nowait`` cover the persistent backend's task queues and
+#: ``send`` its result pipes — their messages pickle exactly like pool
+#: arguments.
 _POOL_METHODS = frozenset(
     {
         "map",
@@ -36,13 +37,13 @@ _POOL_METHODS = frozenset(
         "starmap_async",
         "put",
         "put_nowait",
+        "send",
     }
 )
 
 #: Spec constructors whose field values are persisted / shipped to workers
-#: (``TaskBatch`` and ``WorkerConfig`` ride inside persistent-worker task
-#: payloads and run manifests respectively).
-_SPEC_CONSTRUCTORS = frozenset({"RunJob", "RunSpec", "CampaignSpec", "TaskBatch", "WorkerConfig"})
+#: (``RunJob`` is the persistent workers' task message).
+_SPEC_CONSTRUCTORS = frozenset({"RunJob", "RunSpec", "CampaignSpec", "WorkerConfig"})
 
 
 def _module_level_counters(tree: ast.Module, aliases: dict[str, str]) -> Iterator[ast.Assign]:
@@ -74,9 +75,9 @@ class PicklableCampaignPayloads(Rule):
     code = "PKL003"
     title = "campaign payloads stay picklable; global counters reset per run"
     rationale = """\
-Everything handed to a worker pool, queued to a persistent worker
-(``TaskBatch`` messages) or stored on a campaign spec must be a
-module-level, picklable value — lambdas, closures and local classes fail to
+Everything handed to a worker pool, queued to or sent from a persistent
+worker (``RunJob`` tasks, stream chunks and outcomes) or stored on a
+campaign spec must be a module-level, picklable value — lambdas, closures and local classes fail to
 pickle under the spawn start method (and do so only on the parallel path).
 Separately, any module-global mutable counter (``itertools.count`` at
 module level) must be registered with ``repro.runtime_state.register_reset``

@@ -1,8 +1,9 @@
-"""The JSONL pipe transport: typed events across a process boundary.
+"""The JSONL event transport: typed events across a process boundary.
 
-The service worker serialises every :class:`~repro.observers.events.SimEvent`
-as one JSON line (the :class:`~repro.observers.sinks.JsonlSink` contract) on
-its stdout pipe; the supervisor parses the stream back into typed events on
+A persistent worker serialises every :class:`~repro.observers.events.SimEvent`
+of a streaming run as one JSON line (the :class:`~repro.observers.sinks.JsonlSink`
+contract) and sends the lines to the parent in buffered chunks over its
+result pipe; the supervisor parses the stream back into typed events on
 the parent side.  This module owns both directions of that contract:
 
 * :func:`event_from_payload` — the exact inverse of
@@ -10,17 +11,18 @@ the parent side.  This module owns both directions of that contract:
   nested :class:`~repro.analytics.records.LiquidationRecord` that
   ``LiquidationSettled`` flattens into its payload);
 * :class:`EventStreamDecoder` — an incremental line decoder that survives
-  the realities of a pipe: chunks split mid-line, a final truncated line
-  when the producer is killed mid-write, and the occasional malformed line
-  (dropped and counted, never fatal).
+  the realities of a byte stream: chunks split mid-line, a final truncated
+  line when the producer is killed mid-write, and the occasional malformed
+  line (dropped and counted, never fatal).
 
 Lines that are JSON objects but not events (no ``"event"`` key) are service
-messages — health-factor samples, job results — and are passed through as
-plain dicts for the supervisor to dispatch on their ``"service"`` key.
+messages — health-factor samples, the ``job_result`` line that closes a
+run's stream — and are passed through as plain dicts for the supervisor to
+dispatch on their ``"service"`` key.
 
-Back-pressure is inherited from the OS pipe: a slow consumer fills the pipe
-buffer and the producer's blocking ``write`` stalls until the reader drains
-it, so events are throttled, never dropped (pinned by test).
+Back-pressure comes from the pipe: a slow consumer fills the pipe buffer
+and the producer's blocking write stalls until the reader drains it, so
+events are throttled, never dropped (pinned by test).
 """
 
 from __future__ import annotations
@@ -103,7 +105,7 @@ def decode_line(line: str) -> Message | None:
 
 
 class EventStreamDecoder:
-    """Incremental decoder of the JSONL pipe stream.
+    """Incremental decoder of the JSONL event stream.
 
     Feed it chunks as they arrive (any split, including mid-line) and it
     yields complete messages; call :meth:`flush` at EOF to account for a

@@ -1,11 +1,11 @@
-"""Tests for the execution-backend API: WorkerConfig, the registry, and the
-serial / spawn / persistent backends.
+"""Tests for the execution-backend API: WorkerConfig and the serial and
+persistent backends.
 
 The load-bearing contract is byte-identity: whichever backend (and however
 many workers) executes a campaign, the store files must match the serial
-ground truth exactly — including under the persistent backend's warm-worker
-reuse.  The expensive checks run on drastically truncated windows (a few
-engine strides per run) so the full scenario registry stays affordable.
+reference exactly — including when one persistent worker executes many runs
+back to back.  The expensive checks run on drastically truncated windows (a
+few engine strides per run) so the full scenario registry stays affordable.
 """
 
 from __future__ import annotations
@@ -24,11 +24,8 @@ from repro.campaigns import (
     RunStore,
     SerialBackend,
     WorkerConfig,
-    backend_names,
-    create_backend,
-    register_backend,
 )
-from repro.campaigns.executor import RunJob, WarmRunContext, execute_job
+from repro.campaigns.executor import RunJob, execute_job
 from repro.chain.types import make_address
 from repro.cli import main
 from repro.runtime_state import reset_run_state
@@ -72,73 +69,25 @@ def store_bytes(store: RunStore, campaign: str) -> dict[str, bytes]:
 
 
 # --------------------------------------------------------------------- #
-# WorkerConfig: the unified configuration surface
+# WorkerConfig: the worker count picks the backend
 # --------------------------------------------------------------------- #
 
 
 class TestWorkerConfig:
     def test_defaults_to_serial_single_worker(self):
-        assert WorkerConfig() == WorkerConfig(backend="serial", workers=1)
+        assert WorkerConfig() == WorkerConfig(workers=1)
+        assert isinstance(WorkerConfig().create(), SerialBackend)
 
-    def test_resolve_auto_maps_worker_count_to_backend(self):
-        assert WorkerConfig.resolve() == WorkerConfig(backend="serial", workers=1)
-        assert WorkerConfig.resolve(backend="auto", workers=1).backend == "serial"
-        resolved = WorkerConfig.resolve(backend="auto", workers=4)
-        assert resolved == WorkerConfig(backend="persistent", workers=4)
-
-    def test_resolve_serial_forces_one_worker(self):
-        assert WorkerConfig.resolve(backend="serial", workers=8).workers == 1
-
-    def test_resolve_parallel_backend_without_count_gets_host_default(self):
-        resolved = WorkerConfig.resolve(backend="persistent")
-        assert resolved.backend == "persistent"
-        assert resolved.workers >= 2
-
-    def test_from_workers_preserves_legacy_spawn_semantics(self):
-        assert WorkerConfig.from_workers(1) == WorkerConfig(backend="serial", workers=1)
-        assert WorkerConfig.from_workers(4) == WorkerConfig(backend="spawn", workers=4)
-
-    def test_describe_round_trips_through_manifest_payload(self):
-        config = WorkerConfig(backend="persistent", workers=3)
-        assert WorkerConfig.from_payload(config.describe()) == config
+    def test_worker_count_picks_the_backend(self):
+        assert WorkerConfig(workers=1).create().name == "serial"
+        backend = WorkerConfig(workers=4).create()
+        assert isinstance(backend, PersistentBackend)
+        assert backend.workers == 4
+        backend.close()  # never started: nothing to shut down
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            WorkerConfig(backend="serial", workers=0)
-        with pytest.raises(ValueError):
-            WorkerConfig(backend="", workers=1)
-
-    def test_unknown_backend_name_lists_registered(self):
-        with pytest.raises(KeyError, match="serial"):
-            create_backend(WorkerConfig(backend="no-such-backend", workers=1))
-
-    def test_register_backend_extends_the_registry(self, tmp_path):
-        register_backend("test-custom", lambda config: SerialBackend())
-        try:
-            assert "test-custom" in backend_names()
-            store = RunStore(tmp_path)
-            result = CampaignExecutor(
-                tiny_spec(), store, backend=WorkerConfig(backend="test-custom", workers=1)
-            ).execute()
-            assert result.backend == "test-custom"
-            assert not result.failed
-        finally:
-            from repro.campaigns import backends
-
-            backends._BACKEND_FACTORIES.pop("test-custom", None)
-
-
-class TestDeprecatedWorkersAlias:
-    def test_workers_kwarg_warns_and_maps_to_spawn(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="workers=N"):
-            executor = CampaignExecutor(tiny_spec(), RunStore(tmp_path), workers=3)
-        assert executor.backend_config == WorkerConfig(backend="spawn", workers=3)
-        assert executor.workers == 3
-
-    def test_workers_one_maps_to_serial(self, tmp_path):
-        with pytest.warns(DeprecationWarning):
-            executor = CampaignExecutor(tiny_spec(), RunStore(tmp_path), workers=1)
-        assert executor.backend_config == WorkerConfig()
+            WorkerConfig(workers=0)
 
 
 # --------------------------------------------------------------------- #
@@ -147,16 +96,15 @@ class TestDeprecatedWorkersAlias:
 
 
 def test_all_backends_byte_identical_for_every_registered_scenario(tmp_path):
-    """Serial, spawn, and persistent execution must write identical
-    experiment files for every registered scenario.
+    """Serial and persistent execution must write identical experiment files
+    for every registered scenario.
 
     One persistent backend instance is shared across all the campaigns —
-    exactly its production shape — so this also proves warm-worker reuse
-    across campaigns leaks no state between scenarios.
+    exactly its production shape — so this also proves that reusing a worker
+    process across campaigns leaks no state between scenarios.
     """
     names = scenarios.names()
     serial_store = RunStore(tmp_path / "serial")
-    spawn_store = RunStore(tmp_path / "spawn")
     persistent_store = RunStore(tmp_path / "persistent")
 
     for name in names:
@@ -169,97 +117,59 @@ def test_all_backends_byte_identical_for_every_registered_scenario(tmp_path):
             assert not result.failed, result.failed
             assert result.backend == "persistent"
 
-    spawn_config = WorkerConfig(backend="spawn", workers=2)
-    for name in names:
-        result = CampaignExecutor(tiny_spec(name, seeds=2), spawn_store, backend=spawn_config).execute()
-        assert not result.failed, result.failed
-
     for name in names:
         serial = store_bytes(serial_store, name)
         assert serial, f"no store files for {name}"
         assert store_bytes(persistent_store, name) == serial
-        # The spawn sweep ran an extra seed; compare the shared subset.
-        spawn = store_bytes(spawn_store, name)
-        assert {k: spawn[k] for k in serial} == serial
-
-
-def test_warm_feed_reuse_is_byte_identical_and_leaks_no_state(tmp_path):
-    """A grid sweep sharing one warm worker must match cold serial execution
-    byte for byte, and the warm cache must actually get hits."""
-    spec_kwargs = dict(grid={"close_factor": (0.3, 0.5, 0.7)}, seeds=1)
-    cold_store = RunStore(tmp_path / "cold")
-    warm_store = RunStore(tmp_path / "warm")
-    cold = CampaignExecutor(tiny_spec(**spec_kwargs), cold_store).execute()
-    assert not cold.failed
-
-    warm_backend = SerialBackend(warm=True)
-    warm = CampaignExecutor(tiny_spec(**spec_kwargs), warm_store, backend=warm_backend).execute()
-    assert not warm.failed
-    assert store_bytes(warm_store, "small") == store_bytes(cold_store, "small")
-
-    # The three grid points share one warm_key (close_factor is
-    # feed-neutral), so the feed was built once and reused twice.
-    assert warm_backend._warm.stats() == {"feed_hits": 2, "feed_builds": 1, "feeds_cached": 1}
-    last = max(warm_store.run_ids("small"))
-    digest = warm_store.read_manifest("small", last)["telemetry"]["warm_feed"]
-    assert digest["feed_hits"] == 2
 
 
 def test_warm_execution_leaves_id_counters_exactly_reset(tmp_path):
-    """After a warm run, ``reset_run_state`` must restore the global id
-    counters to the same point as after a cold run — the same-worker
-    task-to-task isolation the persistent runtime depends on."""
+    """After runs in a warm process (one that already executed runs),
+    ``reset_run_state`` must restore the global id counters to the same
+    point as after a single run — the task-to-task isolation a persistent
+    worker depends on."""
     spec = tiny_spec()
     run = spec.runs()[0]
-    job = RunJob(
-        store_root=str(tmp_path / "a"),
-        campaign=spec.campaign,
-        run=run,
-        experiments=spec.experiments,
-    )
-    outcome = execute_job(job)
-    assert outcome.error is None
+
+    def job(root: str) -> RunJob:
+        return RunJob(store_root=str(tmp_path / root), campaign=spec.campaign, run=run, experiments=spec.experiments)
+
+    assert execute_job(job("a")).error is None
     reset_run_state()
-    cold_probe = make_address("probe")
+    after_one = make_address("probe")
 
-    warm = WarmRunContext()
-    job2 = RunJob(
-        store_root=str(tmp_path / "b"),
-        campaign=spec.campaign,
-        run=run,
-        experiments=spec.experiments,
-    )
-    assert execute_job(job2, warm=warm).error is None  # builds the feed
-    assert execute_job(job2, warm=warm).error is None  # warm hit
-    assert warm.feed_hits == 1
+    assert execute_job(job("b")).error is None
+    assert execute_job(job("c")).error is None
     reset_run_state()
-    assert make_address("probe") == cold_probe
+    assert make_address("probe") == after_one
 
 
-def test_custom_feed_factories_are_never_warm_cached(tmp_path):
-    """A scenario with a custom price-feed factory bypasses the warm cache
-    (the factory may consume the build context)."""
+def test_persistent_stream_matches_in_process_stream(tmp_path):
+    """A streaming job hands the same encoded lines to its caller on a
+    persistent worker as in process, in chunks, closed by ``job_result``."""
     spec = tiny_spec()
     run = spec.runs()[0]
-    warm = WarmRunContext()
-    builder = run.builder()
-    builder.with_price_feed(builder.build_feed())  # now a custom factory
-    cached = warm.builder_for(run)  # default factory: cached
-    assert warm.feed_builds == 1
 
-    class _FixedFactorySpec:
-        scenario = run.scenario
-        overrides = run.overrides
-        seed = run.seed
-        warm_key = run.warm_key
+    def stream(backend, root: str) -> list[str]:
+        chunks: list[str] = []
+        job = RunJob(
+            store_root=str(tmp_path / root),
+            campaign=spec.campaign,
+            run=run,
+            experiments=spec.experiments,
+            sample_below=1.1,
+        )
+        assert backend.execute_one(job, chunks.append).error is None
+        assert all(chunk.endswith("\n") for chunk in chunks)
+        return "".join(chunks).splitlines()
 
-        @staticmethod
-        def builder():
-            return builder
-
-    out = warm.builder_for(_FixedFactorySpec)
-    assert out is builder
-    assert warm.feed_builds == 1 and warm.feed_hits == 0  # untouched
+    in_process = stream(SerialBackend(), "serial")
+    with PersistentBackend(workers=1) as persistent:
+        assert stream(persistent, "persistent") == in_process
+    assert '"service": "job_result"' in in_process[-1]
+    assert store_bytes(RunStore(tmp_path / "persistent"), "small") == store_bytes(
+        RunStore(tmp_path / "serial"), "small"
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -304,17 +214,49 @@ def test_persistent_worker_death_fails_pending_runs_and_respawns(tmp_path):
         backend.close()
 
 
-def test_persistent_rejects_probes_and_reuse_after_close(tmp_path):
+def test_persistent_keys_in_flight_runs_by_store_and_campaign(tmp_path):
+    """Concurrent runs sharing a run id in different campaigns are distinct
+    runs: both complete, each byte-identical to serial execution."""
     spec = tiny_spec()
-    job = RunJob(
-        store_root=str(tmp_path),
-        campaign=spec.campaign,
-        run=spec.runs()[0],
-        experiments=spec.experiments,
-    )
+    run = spec.runs()[0]
+
+    def job(root: str, campaign: str) -> RunJob:
+        return RunJob(store_root=str(tmp_path / root), campaign=campaign, run=run, experiments=spec.experiments)
+
+    backend = PersistentBackend(workers=2)
+    barrier = threading.Barrier(2)
+    outcomes: dict[str, object] = {}
+
+    def dispatch(campaign: str) -> None:
+        barrier.wait()
+        try:
+            outcomes[campaign] = backend.execute_one(job("persistent", campaign))
+        except Exception as exc:  # noqa: BLE001 - asserted below
+            outcomes[campaign] = exc
+
+    try:
+        backend.start()
+        threads = [threading.Thread(target=dispatch, args=(name,)) for name in ("a", "b")]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        # The same run directory twice at once is still refused.
+        with pytest.raises(ValueError, match="already in flight: a/base-seed000"):
+            next(iter(backend.run([job("twice", "a"), job("twice", "a")])))
+    finally:
+        backend.close()
+
+    for campaign in ("a", "b"):
+        assert getattr(outcomes[campaign], "error", "raised") is None, outcomes[campaign]
+        assert SerialBackend().execute_one(job("serial", campaign)).error is None
+        persistent = store_bytes(RunStore(tmp_path / "persistent"), campaign)
+        assert persistent and persistent == store_bytes(RunStore(tmp_path / "serial"), campaign)
+
+
+def test_persistent_rejects_reuse_after_close(tmp_path):
     backend = PersistentBackend(workers=1)
-    with pytest.raises(ValueError, match="extra_probes"):
-        next(iter(backend.run([job], extra_probes=(lambda engine: None,))))
     backend.close()
     with pytest.raises(RuntimeError, match="closed"):
         backend.start()
@@ -325,11 +267,11 @@ def test_manifest_execution_block_survives_resume(tmp_path):
     resuming under a different backend must not rewrite it."""
     store = RunStore(tmp_path)
     spec = tiny_spec()
-    first = CampaignExecutor(spec, store, backend="persistent").execute()
+    first = CampaignExecutor(spec, store, backend=WorkerConfig(workers=2)).execute()
     assert not first.failed
     run_id = spec.runs()[0].run_id
     manifest = store.read_manifest(spec.campaign, run_id)
-    assert WorkerConfig.from_payload(manifest["execution"]).backend == "persistent"
+    assert manifest["execution"] == {"backend": "persistent", "workers": 2}
 
     again = CampaignExecutor(spec, store).execute()
     assert again.resumed == [run_id] and not again.executed
@@ -341,46 +283,41 @@ def test_manifest_execution_block_survives_resume(tmp_path):
 # --------------------------------------------------------------------- #
 
 
-def test_sweep_cli_backend_flag(tmp_path, capsys):
-    code = main(
-        [
-            "sweep",
-            "--scenario",
-            "small",
-            "--seeds",
-            "1",
-            "--set",
-            f"end_block={truncated_end_block('small')}",
-            "--report",
-            "table1",
-            "--store",
-            str(tmp_path),
-            "--backend",
-            "persistent",
-            "--workers",
-            "2",
-        ]
-    )
-    assert code == 0
-    err = capsys.readouterr().err
-    assert "persistent backend × 2 worker(s)" in err
-    manifest = RunStore(tmp_path).read_manifest("small", "base-seed000")
+def test_sweep_cli_workers_pick_the_backend(tmp_path, capsys):
+    def sweep(workers: int, store) -> str:
+        code = main(
+            [
+                "sweep",
+                "--scenario",
+                "small",
+                "--seeds",
+                "1",
+                "--set",
+                f"end_block={truncated_end_block('small')}",
+                "--report",
+                "table1",
+                "--store",
+                str(store),
+                "--workers",
+                str(workers),
+            ]
+        )
+        assert code == 0
+        return capsys.readouterr().err
+
+    assert "2 persistent workers" in sweep(2, tmp_path / "two")
+    manifest = RunStore(tmp_path / "two").read_manifest("small", "base-seed000")
     assert manifest["execution"] == {"backend": "persistent", "workers": 2}
 
-
-def test_sweep_cli_rejects_unknown_backend(tmp_path):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["sweep", "--scenario", "small", "--backend", "threads", "--store", str(tmp_path)])
-    assert excinfo.value.code == 2
+    assert "in process" in sweep(1, tmp_path / "one")
+    manifest = RunStore(tmp_path / "one").read_manifest("small", "base-seed000")
+    assert manifest["execution"] == {"backend": "serial", "workers": 1}
 
 
 def test_service_sweep_jobs_run_through_the_campaign_backend(tmp_path):
-    """`repro serve --backend persistent` routes sweep runs through the
-    shared ExecutionBackend interface: warm campaign workers, no streaming
-    subprocess, manifests stamped with the producing backend."""
-    supervisor = ServiceSupervisor(
-        ServiceConfig(store_root=str(tmp_path), workers=2, backend="persistent")
-    )
+    """`repro serve` runs sweep runs on the shared persistent workers:
+    manifests stamped with the producing backend and worker."""
+    supervisor = ServiceSupervisor(ServiceConfig(store_root=str(tmp_path), workers=2))
     supervisor.submit(
         {
             "kind": "sweep",
@@ -400,5 +337,4 @@ def test_service_sweep_jobs_run_through_the_campaign_backend(tmp_path):
         manifest = store.read_manifest("svc-backend", run_id)
         assert manifest["status"] == "completed"
         assert manifest["execution"] == {"backend": "persistent", "workers": 2}
-        # Executed by a persistent campaign worker, not a streaming subprocess.
         assert manifest["telemetry"]["worker"].startswith("persistent-")

@@ -2,19 +2,21 @@
 
 Four layers of coverage, cheapest first:
 
-* **transport** — the JSONL pipe contract: every event type of the taxonomy
-  round-trips through its payload line, the incremental decoder survives
-  arbitrary chunk splits, truncated final lines and malformed garbage, and
-  the OS pipe provides back-pressure (a slow consumer throttles the producer
-  instead of losing events);
+* **transport** — the JSONL stream contract: every event type of the
+  taxonomy round-trips through its payload line, the incremental decoder
+  survives arbitrary chunk splits, truncated final lines and malformed
+  garbage, and a pipe provides back-pressure (a slow consumer throttles the
+  producer instead of losing events);
 * **alerts** — tier thresholds, per-position cooldowns, escalation, and
   rapid-deterioration detection, all keyed on simulated blocks (no sleeping);
 * **store equivalence** — the acceptance bar: for every registered scenario,
-  a worker-subprocess execution produces bit-identical store artifacts to a
-  plain in-process :func:`~repro.campaigns.executor.execute_job`;
+  ``run`` and ``sweep`` jobs executed by the service's persistent workers
+  produce bit-identical store artifacts to in-process
+  :class:`~repro.campaigns.backends.SerialBackend` execution, and their live
+  event streams fold into progress equal to the manifests' metrics;
 * **supervision** — the asyncio supervisor end to end: concurrent jobs,
-  the HTTP surface, journal resume, and ``repro serve`` / ``repro watch``
-  under SIGTERM as real subprocesses.
+  worker death, the HTTP surface, journal resume, and ``repro serve`` /
+  ``repro watch`` under SIGTERM as real subprocesses.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ import pytest
 
 from repro import scenarios
 from repro.analytics.records import LiquidationRecord
-from repro.campaigns.executor import RunJob, execute_job
-from repro.campaigns.spec import RunSpec
+from repro.campaigns.backends import SerialBackend
+from repro.campaigns.executor import RunJob
 from repro.campaigns.store import RunStore
 from repro.observers.events import (
     AuctionDealt,
@@ -64,7 +66,6 @@ from repro.service import (
 )
 from repro.service.jobs import SubmissionError
 from repro.service.transport import EVENT_TYPES
-from repro.service.worker import job_from_payload, job_payload
 from repro.telemetry.http import MetricsServer
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
@@ -245,18 +246,6 @@ def test_pipe_backpressure_throttles_producer_without_losing_events():
     assert decoder.lines_dropped == 0
 
 
-def test_worker_payload_roundtrip():
-    job = RunJob(
-        store_root="/tmp/store",
-        campaign="camp",
-        run=RunSpec(scenario="small", overrides=(("end_block", 9_716_000),), seed=13, seed_index=2, variant="cf0.5"),
-        experiments=("table1", "fig4"),
-        collect_telemetry=False,
-    )
-    rebuilt = job_from_payload(json.loads(json.dumps(job_payload(job))))
-    assert rebuilt == job
-
-
 # --------------------------------------------------------------------- #
 # Alert engine
 # --------------------------------------------------------------------- #
@@ -400,73 +389,125 @@ def test_expand_job_rejects_malformed_payloads(payload, match):
 
 
 # --------------------------------------------------------------------- #
-# Store equivalence: service worker vs in-process executor
+# Store equivalence and live streams: service workers vs in-process runs
 # --------------------------------------------------------------------- #
 
 
 def canonical_manifest(manifest: dict) -> dict:
-    """The manifest minus its timing-dependent keys (all that may differ)."""
+    """The manifest minus what may differ: timings and the producing backend."""
     cleaned = dict(manifest)
-    cleaned.pop("elapsed_seconds", None)
-    cleaned.pop("telemetry", None)
+    for key in ("elapsed_seconds", "telemetry", "execution"):
+        cleaned.pop(key, None)
     return cleaned
+
+
+def serve_until_idle(supervisor: ServiceSupervisor, **kwargs):
+    return asyncio.run(
+        supervisor.serve(exit_when_idle=True, install_signals=False, **kwargs)
+    )
+
+
+def record_job_results(supervisor: ServiceSupervisor) -> list[dict]:
+    """Capture the ``job_result`` lines that close every worker stream."""
+    results: list[dict] = []
+    dispatch = supervisor._dispatch
+
+    def spy(record, run_state, progress, message):
+        if isinstance(message, dict) and message.get("service") == "job_result":
+            results.append(message)
+        dispatch(record, run_state, progress, message)
+
+    supervisor._dispatch = spy
+    return results
+
+
+def assert_streams_match_manifests(supervisor: ServiceSupervisor, job_results: list[dict]) -> None:
+    """Every completed run's live stream agrees with what the worker persisted
+    and with what it says it sent."""
+    store = supervisor.store
+    run_states = [
+        (record, run_state)
+        for record in supervisor._jobs.values()
+        for run_state in record.runs.values()
+    ]
+    assert run_states and all(state.status == "completed" for _, state in run_states)
+    for record, state in run_states:
+        metrics = store.read_manifest(record.campaign, state.spec.run_id)["metrics"]
+        assert state.steps == metrics["steps"]
+        assert state.blocks == metrics["blocks"]
+        assert state.incidents == metrics["incidents_fired"]
+        assert state.liquidations == metrics["liquidations"]["count"]
+        assert state.events > 0
+    exposition = supervisor.registry.exposition()
+    assert "repro_service_lines_dropped_total 0" in exposition
+    decoded = sum(
+        value
+        for series, value in supervisor.registry.snapshot().items()
+        if series.startswith("repro_service_events_total{")
+    )
+    assert len(job_results) == len(run_states)
+    assert decoded == sum(result["events_streamed"] for result in job_results)
+    assert decoded == sum(state.events for _, state in run_states)
 
 
 @pytest.mark.parametrize("name", scenarios.names())
 def test_service_worker_store_artifacts_are_bit_identical(name, tmp_path):
-    """The acceptance bar: for every registered scenario, a run executed by
-    the service worker subprocess leaves byte-identical experiment files and
-    an equal manifest (modulo timings) to a plain in-process execution."""
-    spec = RunSpec(
-        scenario=name,
-        overrides=(("end_block", truncated_end_block(name)),),
-        seed=SEED,
-        seed_index=0,
-        variant="base",
+    """The acceptance bar: for every registered scenario, a ``run`` job and a
+    ``sweep`` job executed by the service's persistent workers leave
+    byte-identical experiment files and equal manifests (modulo timings and
+    the producing backend) to in-process serial execution — and their live
+    event streams fold into progress equal to the manifests' metrics."""
+    overrides = {"end_block": truncated_end_block(name)}
+    supervisor = ServiceSupervisor(ServiceConfig(store_root=str(tmp_path / "service"), workers=2))
+    job_results = record_job_results(supervisor)
+    supervisor.submit(
+        {
+            "kind": "run",
+            "scenario": name,
+            "seed": SEED,
+            "overrides": overrides,
+            "experiments": ["table1"],
+            "campaign": "run",
+        }
     )
-    experiments = ("table1",)
-
-    direct = execute_job(
-        RunJob(store_root=str(tmp_path / "direct"), campaign=name, run=spec, experiments=experiments)
+    supervisor.submit(
+        {
+            "kind": "sweep",
+            "scenario": name,
+            "seeds": 1,
+            "base_seed": SEED,
+            "overrides": overrides,
+            "experiments": ["table1"],
+            "campaign": "sweep",
+        }
     )
-    assert direct.error is None
+    summary = serve_until_idle(supervisor)
+    assert summary.completed_runs == 2 and summary.failed_runs == 0
+    assert_streams_match_manifests(supervisor, job_results)
 
-    service_job = RunJob(
-        store_root=str(tmp_path / "service"), campaign=name, run=spec, experiments=experiments
-    )
-    completed = subprocess.run(
-        [sys.executable, "-m", "repro.service.worker", json.dumps(job_payload(service_job))],
-        env=subprocess_env(),
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert completed.returncode == 0, completed.stderr
-
-    # The stream itself must be clean: typed events plus service messages,
-    # nothing dropped, and a successful job_result as the final message.
-    decoder = EventStreamDecoder()
-    messages = list(decoder.feed(completed.stdout)) + list(decoder.flush())
-    assert decoder.lines_dropped == 0
-    assert decoder.events_decoded > 0
-    result = messages[-1]
-    assert isinstance(result, dict) and result["service"] == "job_result"
-    assert result["error"] is None and not result["interrupted"]
-
-    direct_store, service_store = RunStore(tmp_path / "direct"), RunStore(tmp_path / "service")
-    for experiment_id in experiments:
-        direct_bytes = direct_store.experiment_path(name, spec.run_id, experiment_id).read_bytes()
-        service_bytes = service_store.experiment_path(name, spec.run_id, experiment_id).read_bytes()
-        assert direct_bytes == service_bytes
-    direct_manifest = direct_store.read_manifest(name, spec.run_id)
-    service_manifest = service_store.read_manifest(name, spec.run_id)
-    assert canonical_manifest(direct_manifest) == canonical_manifest(service_manifest)
-    # The metrics block (streamed aggregates) is part of the equivalence.
-    assert direct_manifest["metrics"] == service_manifest["metrics"]
+    serial = SerialBackend()
+    service_store, direct_store = supervisor.store, RunStore(tmp_path / "direct")
+    for record in supervisor._jobs.values():
+        for run_state in record.runs.values():
+            spec = run_state.spec
+            job = RunJob(
+                store_root=str(direct_store.root), campaign=record.campaign, run=spec, experiments=record.experiments
+            )
+            assert serial.execute_one(job).error is None
+            for experiment_id in record.experiments:
+                direct_bytes = direct_store.experiment_path(record.campaign, spec.run_id, experiment_id).read_bytes()
+                service_bytes = service_store.experiment_path(record.campaign, spec.run_id, experiment_id).read_bytes()
+                assert direct_bytes == service_bytes
+            direct_manifest = direct_store.read_manifest(record.campaign, spec.run_id)
+            service_manifest = service_store.read_manifest(record.campaign, spec.run_id)
+            assert canonical_manifest(direct_manifest) == canonical_manifest(service_manifest)
+            # The metrics block (streamed aggregates) is part of the equivalence.
+            assert direct_manifest["metrics"] == service_manifest["metrics"]
+            assert service_manifest["execution"] == {"backend": "persistent", "workers": 2}
 
 
 # --------------------------------------------------------------------- #
-# Supervisor: concurrency, metrics, resume
+# Supervisor: concurrency, metrics, resume, worker death
 # --------------------------------------------------------------------- #
 
 
@@ -481,14 +522,9 @@ def small_sweep_payload(seeds: int = 8) -> dict:
     }
 
 
-def serve_until_idle(supervisor: ServiceSupervisor, **kwargs):
-    return asyncio.run(
-        supervisor.serve(exit_when_idle=True, install_signals=False, **kwargs)
-    )
-
-
 def test_supervisor_runs_concurrent_jobs_and_aggregates_state(tmp_path):
     supervisor = ServiceSupervisor(ServiceConfig(store_root=str(tmp_path), workers=4))
+    job_results = record_job_results(supervisor)
     supervisor.submit(small_sweep_payload(seeds=6))
     supervisor.submit(
         {
@@ -524,7 +560,11 @@ def test_supervisor_runs_concurrent_jobs_and_aggregates_state(tmp_path):
     assert 'repro_service_runs_total{status="completed"} 7' in exposition
     assert "repro_service_peak_active_runs 4" in exposition
     assert 'repro_service_events_total{kind="BlockMined"}' in exposition
+    # Both the sweep and the single run streamed live, hf_samples included.
+    assert_streams_match_manifests(supervisor, job_results)
     assert supervisor.alerts.samples_seen > 0
+    for job_id in ("job-0001", "job-0002"):
+        assert sum(run["alerts"] for run in supervisor.jobs_route(job_id)[1]["run_states"]) > 0
 
     # The journal reached its terminal form: nothing to resume.
     assert ServiceJournal(tmp_path).incomplete_jobs() == []
@@ -540,7 +580,7 @@ def test_supervisor_resumes_completed_runs_from_the_store(tmp_path):
     summary = serve_until_idle(again)
     assert summary.resumed_runs == 2
     assert summary.completed_runs == 0
-    assert again.peak_active_runs == 0  # no subprocess was ever needed
+    assert again.peak_active_runs == 0  # no worker was ever needed
 
 
 def test_supervisor_resumes_incomplete_jobs_from_the_journal(tmp_path):
@@ -575,6 +615,64 @@ def test_failed_runs_are_reported_not_fatal(tmp_path):
     (run,) = detail["run_states"]
     assert run["status"] == "failed"
     assert run["error"]
+
+
+def test_worker_sigkill_fails_the_job_and_the_slot_respawns(tmp_path):
+    """SIGKILL the persistent worker in the middle of a ``run`` job: the job
+    ends ``failed`` with the worker-exit error instead of hanging, and the
+    next job completes on the respawned slot with store files equal to an
+    in-process re-execution."""
+    supervisor = ServiceSupervisor(ServiceConfig(store_root=str(tmp_path / "service"), workers=1))
+    # The full `small` window: long enough to be killed mid-run.
+    supervisor.submit({"kind": "run", "scenario": "small", "experiments": ["table1"], "campaign": "killed"})
+    server = threading.Thread(target=lambda: asyncio.run(supervisor.serve(install_signals=False)))
+
+    def run_state(job_id: str) -> dict:
+        return supervisor.jobs_route(job_id)[1]["run_states"][0]
+
+    server.start()
+    try:
+        wait_for(lambda: run_state("job-0001")["events"] > 0, timeout=120, message="the run never streamed")
+        victim = supervisor._backend._procs[0]
+        os.kill(victim.pid, signal.SIGKILL)
+        wait_for(
+            lambda: run_state("job-0001")["status"] == "failed", timeout=60, message="the killed job never ended"
+        )
+        assert "persistent worker 0 exited (code -9)" in run_state("job-0001")["error"]
+
+        supervisor.submit(
+            {
+                "kind": "run",
+                "scenario": "small",
+                "seed": SEED,
+                "overrides": {"end_block": truncated_end_block("small")},
+                "experiments": ["table1"],
+                "campaign": "after",
+            }
+        )
+        wait_for(
+            lambda: run_state("job-0002")["status"] in ("completed", "failed"),
+            timeout=120,
+            message="the next job never ended",
+        )
+        assert run_state("job-0002")["status"] == "completed"
+        assert supervisor._backend._procs[0] is not victim
+    finally:
+        wait_for(lambda: supervisor._loop is not None, timeout=60, message="the service never started")
+        supervisor._loop.call_soon_threadsafe(supervisor.begin_drain)
+        server.join(timeout=60)
+    assert not server.is_alive()
+
+    record = supervisor._jobs["job-0002"]
+    (spec,) = [state.spec for state in record.runs.values()]
+    direct = RunStore(tmp_path / "direct")
+    job = RunJob(store_root=str(direct.root), campaign="after", run=spec, experiments=record.experiments)
+    assert SerialBackend().execute_one(job).error is None
+    for experiment_id in record.experiments:
+        assert (
+            direct.experiment_path("after", spec.run_id, experiment_id).read_bytes()
+            == supervisor.store.experiment_path("after", spec.run_id, experiment_id).read_bytes()
+        )
 
 
 # --------------------------------------------------------------------- #
