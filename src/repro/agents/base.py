@@ -3,15 +3,18 @@
 Agents are the behavioural counterparts of the paper's measured populations:
 borrowers and lenders interacting with the pools, liquidation bots competing
 on gas, and MakerDAO auction keepers.  Each agent owns an address, a private
-random stream (spawned from the scenario seed so runs are reproducible), and
-an :meth:`Agent.act` hook called once per simulation step with the engine as
-context.
+random stream, and an :meth:`Agent.act` hook called once per simulation step
+with the engine as context.
+
+The private streams come from :func:`rng_stream`: one ``SeedSequence`` per
+scenario seed hands out one child per agent, built only when the agent is
+created, so a world pays for the agents it has and for no others.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -37,7 +40,13 @@ class Agent(abc.ABC):
         return f"<{type(self).__name__} {self.label}>"
 
 
-def spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
-    """Create ``count`` independent generators derived from ``seed``."""
-    children = np.random.SeedSequence(seed).spawn(count)
-    return [np.random.default_rng(child) for child in children]
+def rng_stream(seed: int) -> Iterator[np.random.Generator]:
+    """Endless independent generators derived from ``seed``, built on demand.
+
+    Successive ``spawn(1)`` calls on one ``SeedSequence`` hand out the spawn
+    keys ``(0,), (1,), …``, so the k-th generator equals the k-th of
+    ``SeedSequence(seed).spawn(n)`` for every ``n > k``.
+    """
+    parent = np.random.SeedSequence(seed)
+    while True:
+        yield np.random.default_rng(parent.spawn(1)[0])

@@ -93,16 +93,20 @@ def stablecoin_path(
     n_steps: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Generate a mean-reverting path hovering around the peg."""
+    """Generate a mean-reverting (AR(1)) path hovering around the peg.
+
+    The noise is drawn as one vector, which yields the same values as one
+    scalar draw per step; the recurrence then runs over Python floats.
+    """
     if n_steps <= 0:
         return np.zeros(0)
-    prices = np.empty(n_steps)
-    prices[0] = config.initial_price
-    for step in range(1, n_steps):
-        deviation = config.peg - prices[step - 1]
-        noise = rng.normal(0.0, config.peg_volatility)
-        prices[step] = prices[step - 1] + config.peg_reversion * deviation + noise
-    prices = np.clip(prices, 0.2 * config.peg, 5.0 * config.peg)
+    peg, reversion = config.peg, config.peg_reversion
+    price = float(config.initial_price)
+    values = [price]
+    for noise in rng.normal(0.0, config.peg_volatility, n_steps - 1).tolist():
+        price = price + reversion * (peg - price) + noise
+        values.append(price)
+    prices = np.clip(np.array(values), 0.2 * peg, 5.0 * peg)
     return apply_shocks(prices, config.shocks)
 
 

@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from ..agents.arbitrageur import ArbitrageurAgent
-from ..agents.base import spawn_rngs
+from ..agents.base import rng_stream
 from ..agents.borrower import BorrowerAgent, BorrowerProfile
 from ..agents.keeper import AuctionKeeperAgent, KeeperProfile
 from ..agents.lender import LenderAgent
@@ -51,6 +51,7 @@ from ..protocols.makerdao import make_makerdao
 from ..simulation.config import PopulationConfig, ScenarioConfig
 from ..simulation.engine import SimulationEngine, SimulationResult
 from ..simulation.market import MarketMaker
+from ..telemetry.runtime import span
 from ..tokens.registry import TokenRegistry, default_registry, inception_prices
 from .incidents import FeedGrid, Incident, default_incidents, pre_incident_auction_config
 
@@ -359,7 +360,7 @@ def default_population(ctx: BuildContext, engine: SimulationEngine) -> None:
     config = ctx.config
     rng = ctx.rng
     population = config.population
-    agent_rngs = iter(spawn_rngs(config.seed + 1, 50_000))
+    agent_rngs = rng_stream(config.seed + 1)
 
     # Lenders seed pool liquidity so borrowers have something to borrow.
     for protocol in engine.fixed_spread_protocols():
@@ -638,40 +639,49 @@ class ScenarioBuilder:
         return self._feed_factory(ctx)
 
     def build(self) -> SimulationEngine:
-        """Assemble the full world and return a ready-to-run engine."""
-        config = self.config
-        ctx = BuildContext(builder=self, config=config, rng=np.random.default_rng(config.seed))
-        ctx.registry = self._registry_factory(ctx)
-        ctx.feed = self._feed_factory(ctx)
-        ctx.gas_market = self._gas_market_factory(ctx)
-        ctx.chain = self._chain_factory(ctx)
-        ctx.oracle, ctx.protocol_oracles = self._oracles_factory(ctx)
-        ctx.protocols = self._protocols_factory(ctx)
-        ctx.flash_loans = self._flash_loans_factory(ctx)
-        ctx.amm = self._amm_factory(ctx)
-        ctx.market_maker = self._market_maker_factory(ctx)
-        engine = SimulationEngine(
-            config=config,
-            chain=ctx.chain,
-            registry=ctx.registry,
-            feed=ctx.feed,
-            oracle=ctx.oracle,
-            protocols=ctx.protocols,
-            protocol_oracles=ctx.protocol_oracles,
-            flash_loans=ctx.flash_loans,
-            amm=ctx.amm,
-            market_maker=ctx.market_maker,
-        )
-        for incident in self.incidents:
-            incident.schedule(engine)
-        for block, name, action in self._extra_events:
-            engine.schedule(block, name, action)
-        self._population_factory(ctx, engine)
-        for factory in self._extra_agent_factories:
-            factory(ctx, engine)
-        for probe_factory in self._probe_factories:
-            engine.attach_probe(probe_factory(engine))
-        return engine
+        """Assemble the full world and return a ready-to-run engine.
+
+        With telemetry on, the build runs under a ``build`` span whose
+        ``build.feed``, ``build.protocols`` and ``build.population`` children
+        time those stages; every other stage is ``build`` self time.
+        """
+        with span("build"):
+            config = self.config
+            ctx = BuildContext(builder=self, config=config, rng=np.random.default_rng(config.seed))
+            ctx.registry = self._registry_factory(ctx)
+            with span("build.feed"):
+                ctx.feed = self._feed_factory(ctx)
+            ctx.gas_market = self._gas_market_factory(ctx)
+            ctx.chain = self._chain_factory(ctx)
+            ctx.oracle, ctx.protocol_oracles = self._oracles_factory(ctx)
+            with span("build.protocols"):
+                ctx.protocols = self._protocols_factory(ctx)
+            ctx.flash_loans = self._flash_loans_factory(ctx)
+            ctx.amm = self._amm_factory(ctx)
+            ctx.market_maker = self._market_maker_factory(ctx)
+            engine = SimulationEngine(
+                config=config,
+                chain=ctx.chain,
+                registry=ctx.registry,
+                feed=ctx.feed,
+                oracle=ctx.oracle,
+                protocols=ctx.protocols,
+                protocol_oracles=ctx.protocol_oracles,
+                flash_loans=ctx.flash_loans,
+                amm=ctx.amm,
+                market_maker=ctx.market_maker,
+            )
+            for incident in self.incidents:
+                incident.schedule(engine)
+            for block, name, action in self._extra_events:
+                engine.schedule(block, name, action)
+            with span("build.population"):
+                self._population_factory(ctx, engine)
+                for factory in self._extra_agent_factories:
+                    factory(ctx, engine)
+            for probe_factory in self._probe_factories:
+                engine.attach_probe(probe_factory(engine))
+            return engine
 
     def run(self, n_steps: int | None = None) -> SimulationResult:
         """Build and run the scenario end-to-end."""

@@ -189,15 +189,19 @@ def render_phase_report(records: list[SpanRecord], *, wall_seconds: float | None
     """The per-phase timing breakdown table of ``repro trace``.
 
     Phases sort by self time (where the wall-clock actually went), and the
-    ``%`` column is self time over the total observed wall-clock, so the
-    column sums to ~100 across non-overlapping phases.
+    ``%`` column is self time over the total observed wall-clock.  A last
+    ``unattributed`` row holds the wall-clock outside every span (wall time
+    minus the summed self times), so the self column sums to the wall time
+    and the ``%`` column to 100.
     """
     aggregates = aggregate_spans(records)
     if not aggregates:
         return "no spans recorded\n"
+    attributed = sum(entry["self_seconds"] for entry in aggregates.values())
     if wall_seconds is None:
-        wall_seconds = sum(entry["self_seconds"] for entry in aggregates.values())
-    width = max(len(name) for name in aggregates)
+        wall_seconds = attributed
+    unattributed = wall_seconds - attributed
+    width = max(len(name) for name in (*aggregates, "unattributed"))
     lines = [
         f"{'phase':<{width}}  {'count':>7}  {'total s':>9}  {'self s':>9}  "
         f"{'mean ms':>9}  {'max ms':>9}  {'% self':>7}"
@@ -210,4 +214,9 @@ def render_phase_report(records: list[SpanRecord], *, wall_seconds: float | None
             f"{entry['self_seconds']:>9.3f}  {entry['mean_ms']:>9.3f}  "
             f"{entry['max_ms']:>9.3f}  {share:>6.1f}%"
         )
+    share = 100.0 * unattributed / wall_seconds if wall_seconds > 0 else 0.0
+    lines.append(
+        f"{'unattributed':<{width}}  {'':>7}  {'':>9}  {unattributed:>9.3f}  "
+        f"{'':>9}  {'':>9}  {share:>6.1f}%"
+    )
     return "\n".join(lines) + "\n"

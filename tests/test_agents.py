@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.agents.arbitrageur import ArbitrageurAgent
+from repro.agents.base import rng_stream
 from repro.agents.borrower import BorrowerAgent, BorrowerProfile
 from repro.agents.keeper import AuctionKeeperAgent, KeeperProfile
 from repro.agents.lender import LenderAgent
@@ -60,6 +61,29 @@ def make_mini_engine(flat_feed):
 @pytest.fixture()
 def mini_engine(flat_feed):
     return make_mini_engine(flat_feed)
+
+
+def eager_rngs(seed: int, count: int) -> list[np.random.Generator]:
+    """Reference: ``count`` generators from one eager ``SeedSequence.spawn``."""
+    return [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(count)]
+
+
+class TestRngStream:
+    def test_lazy_stream_draws_match_eager_spawn(self):
+        stream = rng_stream(4)
+        for expected in eager_rngs(4, 600):
+            actual = next(stream)
+            assert actual.random(3).tobytes() == expected.random(3).tobytes()
+            assert actual.normal(size=2).tobytes() == expected.normal(size=2).tobytes()
+
+    def test_kth_generator_carries_spawn_key_k(self):
+        # A child generator is a function of the root entropy and its spawn
+        # key alone, so key (k,) makes the k-th lazy generator equal the k-th
+        # eager one for every k: the stream has no population cap.
+        for k, rng in zip(range(600), rng_stream(4)):
+            seed_seq = rng.bit_generator.seed_seq
+            assert seed_seq.spawn_key == (k,)
+            assert seed_seq.entropy == np.random.SeedSequence(4).entropy
 
 
 class TestLenderAndBorrower:

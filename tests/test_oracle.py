@@ -42,6 +42,20 @@ class TestPriceFeed:
         assert len(flat_feed.returns("ETH")) == flat_feed.n_steps - 1
 
 
+def scalar_stablecoin_path(config: AssetPathConfig, n_steps: int, rng: np.random.Generator) -> np.ndarray:
+    """Reference: the AR(1) peg wobble with one scalar noise draw per step."""
+    if n_steps <= 0:
+        return np.zeros(0)
+    prices = np.empty(n_steps)
+    prices[0] = config.initial_price
+    for step in range(1, n_steps):
+        deviation = config.peg - prices[step - 1]
+        noise = rng.normal(0.0, config.peg_volatility)
+        prices[step] = prices[step - 1] + config.peg_reversion * deviation + noise
+    prices = np.clip(prices, 0.2 * config.peg, 5.0 * config.peg)
+    return apply_shocks(prices, config.shocks)
+
+
 class TestPaths:
     def test_gbm_path_starts_at_initial_price(self):
         config = AssetPathConfig(initial_price=100.0, annual_volatility=0.5)
@@ -65,6 +79,31 @@ class TestPaths:
         path = stablecoin_path(config, 2_000, np.random.default_rng(2))
         assert abs(path.mean() - 1.0) < 0.05
         assert path.std() < 0.05
+
+    @pytest.mark.parametrize("n_steps", [0, 1, 2, 1_000, 20_000])
+    @pytest.mark.parametrize("seed", [0, 2, 41])
+    def test_stablecoin_path_matches_scalar_reference(self, n_steps, seed):
+        config = AssetPathConfig(initial_price=1.0, is_stablecoin=True, peg_volatility=0.0015, peg_reversion=0.08)
+        expected = scalar_stablecoin_path(config, n_steps, np.random.default_rng(seed))
+        actual = stablecoin_path(config, n_steps, np.random.default_rng(seed))
+        assert actual.tobytes() == expected.tobytes()
+
+    def test_stablecoin_path_matches_scalar_reference_with_shocks_and_custom_peg(self):
+        config = AssetPathConfig(
+            initial_price=0.97,
+            is_stablecoin=True,
+            peg=1.02,
+            peg_volatility=0.004,
+            peg_reversion=0.21,
+            shocks=[
+                Shock(step=300, magnitude=0.89, duration=5, recovery=0.8, recovery_steps=40),
+                Shock(step=900, magnitude=1.1),
+            ],
+        )
+        for seed in (5, 6):
+            expected = scalar_stablecoin_path(config, 1_200, np.random.default_rng(seed))
+            actual = stablecoin_path(config, 1_200, np.random.default_rng(seed))
+            assert actual.tobytes() == expected.tobytes()
 
     def test_build_series_is_deterministic_per_seed(self):
         configs = {"ETH": AssetPathConfig(initial_price=100.0), "DAI": AssetPathConfig(initial_price=1.0, is_stablecoin=True)}

@@ -7,6 +7,8 @@ import pytest
 
 from repro import scenarios
 from repro.analytics.records import extract_liquidations
+from repro.campaigns import CampaignSpec
+from repro.campaigns.executor import RunJob, execute_job
 from repro.experiments.runner import EXPERIMENT_IDS, run_all, run_one
 from repro.scenarios import (
     AuctionReconfig,
@@ -19,6 +21,7 @@ from repro.scenarios import (
     default_incidents,
     register_scenario,
 )
+from repro.scenarios import builder as builder_module
 from repro.simulation.config import ScenarioConfig
 from repro.simulation.scenarios import build_price_feed
 
@@ -175,6 +178,44 @@ class TestScenarioBuilder:
         engine = builder.build()
         assert seen and seen[0] > 0
         assert any(event.name == "custom-event" for event in engine.scheduled_events)
+
+
+class TestLazyAgentRngs:
+    def test_lazy_stream_matches_eager_50k_spawn_end_to_end(self, tmp_path, monkeypatch):
+        """The event log and every experiment file equal those of a world
+        whose agents draw from the former eager 50,000-generator list."""
+        spec = CampaignSpec(scenario="small", seeds=1, base_seed=5, overrides={"end_block": 9_760_000})
+        run = spec.runs()[0]
+
+        def execute(root: str) -> tuple[str, dict[str, bytes]]:
+            lines: list[str] = []
+            job = RunJob(
+                store_root=str(tmp_path / root),
+                campaign=spec.campaign,
+                run=run,
+                experiments=spec.experiments,
+                sample_below=1.1,
+            )
+            assert execute_job(job, lines.append).error is None
+            files = {
+                path.name: path.read_bytes()
+                for path in sorted((tmp_path / root).rglob("*.json"))
+                if path.name != "manifest.json"
+            }
+            return "".join(lines), files
+
+        lazy_log, lazy_files = execute("lazy")
+
+        def eager_stream(seed: int):
+            children = np.random.SeedSequence(seed).spawn(50_000)
+            return iter([np.random.default_rng(child) for child in children])
+
+        monkeypatch.setattr(builder_module, "rng_stream", eager_stream)
+        eager_log, eager_files = execute("eager")
+        assert len(lazy_files) == len(spec.experiments)
+        assert "LiquidationSettled" in lazy_log
+        assert eager_log == lazy_log
+        assert eager_files == lazy_files
 
 
 class TestLegacyEquivalence:

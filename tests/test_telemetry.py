@@ -20,10 +20,12 @@ import pytest
 from repro import scenarios
 from repro.analytics.records import extract_liquidations
 from repro.chain.types import reset_id_counters
+from repro.cli import main
 from repro.serialize import to_jsonable
 from repro.telemetry import (
     MetricsRegistry,
     MetricsServer,
+    SpanRecord,
     Telemetry,
     TelemetryProbe,
     Tracer,
@@ -167,6 +169,39 @@ class TestSpans:
         assert "engine.step" in report
         assert "% self" in report
         assert render_phase_report([]) == "no spans recorded\n"
+
+    def test_phase_report_unattributed_row_closes_self_times_to_wall(self):
+        records = [
+            SpanRecord("build.feed", 0, 250_000_000, 1, 1, 0, 0),
+            SpanRecord("build", 0, 1_000_000_000, 0, 0, None, 250_000_000),
+            SpanRecord("engine.step", 1_000_000_000, 500_000_000, 0, 2, None, 0),
+        ]
+        report = render_phase_report(records, wall_seconds=2.0)
+        rows = {line.split()[0]: line.split() for line in report.splitlines()[1:]}
+        assert set(rows) == {"build", "build.feed", "engine.step", "unattributed"}
+        self_column = {name: float(row[3] if name != "unattributed" else row[1]) for name, row in rows.items()}
+        assert self_column["unattributed"] == pytest.approx(0.5)
+        assert sum(self_column.values()) == pytest.approx(2.0)
+        assert rows["unattributed"][-1] == "25.0%"
+        # Without a wall time the spans are the whole wall: nothing unattributed.
+        assert render_phase_report(records).splitlines()[-1].split()[1] == "0.000"
+
+    def test_build_spans_nest_under_build(self):
+        builder = scenarios.get("small").builder(seed=SEED)
+        builder.config = builder.config.with_overrides(end_block=builder.config.start_block + 1)
+        with enabled() as telemetry:
+            builder.build()
+        records = {record.name: record for record in telemetry.tracer.records}
+        assert records["build"].parent_id is None
+        for name in ("build.feed", "build.protocols", "build.population"):
+            assert records[name].parent_id == records["build"].span_id
+
+    def test_trace_cli_reports_build_phases_and_unattributed(self, tmp_path):
+        output = tmp_path / "trace-report.txt"
+        assert main(["trace", "small", "--end-block", "9705000", "--output", str(output)]) == 0
+        rows = {line.split()[0]: line.split() for line in output.read_text().splitlines()[1:]}
+        assert {"build", "build.feed", "build.protocols", "build.population", "engine.step"} <= set(rows)
+        assert float(rows["unattributed"][1]) >= 0.0
 
 
 class TestRuntime:
