@@ -4,7 +4,8 @@ This measures the step the simulation pays on *every* block stride: deciding
 which positions are liquidatable (HF < 1) before the expensive per-candidate
 quote step.  A 5k-position Aave-style pool is scanned both ways:
 
-* ``scalar`` — the legacy sweep: per-position USD-value dictionaries;
+* ``scalar`` — :func:`repro.reference.liquidatable_candidates`, the
+  per-position sweep over USD-value dictionaries;
 * ``vectorized`` — ``PositionBook.scan`` with dirty-row tracking plus the
   scalar confirmation of flagged rows (exactly the engine's default path).
 
@@ -35,6 +36,7 @@ import numpy as np
 
 from conftest import write_bench_record
 
+from repro import reference
 from repro.chain.chain import Blockchain
 from repro.chain.types import make_address
 from repro.protocols.aave import AAVE_MARKETS, AaveProtocol
@@ -80,16 +82,6 @@ def build_world(n_positions: int = N_POSITIONS, seed: int = 20_210_421):
     return protocol, rng
 
 
-def scalar_scan(protocol) -> list:
-    prices = protocol.prices()
-    thresholds = protocol.liquidation_thresholds()
-    return [
-        position
-        for position in protocol.positions_with_debt()
-        if position.is_liquidatable(prices, thresholds)
-    ]
-
-
 def churn(protocol, rng) -> None:
     """Touch a fraction of positions, as agent activity does every stride."""
     rows = rng.integers(0, len(protocol.positions), size=int(len(protocol.positions) * CHURN_FRACTION))
@@ -115,12 +107,12 @@ def test_columnar_scan_speedup():
     protocol, rng = build_world()
     protocol.liquidatable_candidates()  # initial full sync, outside the timing
 
-    scalar_found = scalar_scan(protocol)
+    scalar_found = reference.liquidatable_candidates(protocol)
     vector_found = protocol.liquidatable_candidates()
     assert vector_found == scalar_found  # identical objects, identical order
     assert len(scalar_found) > 100  # the workload actually has candidates
 
-    scalar_s = time_scans(scalar_scan, protocol, rng)
+    scalar_s = time_scans(reference.liquidatable_candidates, protocol, rng)
     vector_s = time_scans(lambda p: p.liquidatable_candidates(), protocol, rng)
     speedup = scalar_s / vector_s
 

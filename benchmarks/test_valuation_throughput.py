@@ -5,8 +5,8 @@ snapshot: total collateral (TVL), total outstanding debt and the per-position
 health factors of a whole protocol.  A 5k-position Aave-style pool (the
 :mod:`test_scan_throughput` world) is valued both ways:
 
-* ``scalar`` — the legacy walk: per-position USD-value dictionaries, one
-  pass per aggregate;
+* ``scalar`` — the :mod:`repro.reference` walks: per-position USD-value
+  dictionaries, one pass per aggregate;
 * ``vectorized`` — ``LendingProtocol.valuation()``: one cached
   :class:`~repro.core.position_book.BookValuation` whose *pinned* reductions
   (exact per-term products, scalar fixup of rows with ≥ 3 nonzero entries,
@@ -35,6 +35,8 @@ import numpy as np
 
 from conftest import write_bench_record
 
+from repro import reference
+
 from test_scan_throughput import CHURN_FRACTION, N_POSITIONS, ROUNDS, build_world, churn
 
 SPEEDUP_FLOOR = 3.0
@@ -43,13 +45,11 @@ BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_valuation.json"
 
 
 def scalar_aggregate_walk(protocol):
-    """The legacy snapshot aggregates: totals plus every health factor."""
+    """The snapshot aggregates walked per position: totals plus every health factor."""
     prices = protocol.prices()
     thresholds = protocol.liquidation_thresholds()
-    total_collateral = sum(p.total_collateral_usd(prices) for p in protocol.positions.values())
-    total_debt = sum(p.total_debt_usd(prices) for p in protocol.positions.values())
     health = [p.health_factor(prices, thresholds) for p in protocol.positions.values()]
-    return total_collateral, total_debt, health
+    return reference.total_collateral_usd(protocol), reference.total_debt_usd(protocol), health
 
 
 def book_aggregate_walk(protocol):

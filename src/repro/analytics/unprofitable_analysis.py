@@ -10,8 +10,9 @@ position's best collateral market, because Aave's spread differs per market.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
+from ..core.position import Position
 from ..core.unprofitable import best_liquidation_profit
 from ..protocols.fixed_spread_protocol import FixedSpreadProtocol
 from ..simulation.engine import SimulationResult
@@ -44,21 +45,27 @@ def platform_unprofitable(
 ) -> UnprofitableCell:
     """Evaluate unprofitable opportunities on one platform snapshot.
 
-    With book aggregates on (the default), the candidate set comes from the
-    block's shared :class:`~repro.core.position_book.BookValuation` margin
-    prefilter instead of a full position walk; every flagged row is still
-    confirmed with the scalar health factor, so the cell is bit-identical
-    to the legacy sweep.
+    The candidate set comes from the block's shared
+    :class:`~repro.core.position_book.BookValuation` margin prefilter
+    instead of a full position walk; every flagged row is still confirmed
+    with the scalar health factor, so the cell is bit-identical to the
+    sweep over every indebted position
+    (:func:`repro.reference.platform_unprofitable`).
     """
-    if protocol.uses_book_aggregates():
-        valuation = protocol.valuation()
-        prices = valuation.prices
-        thresholds = valuation.thresholds
-        candidates = valuation.positions(valuation.candidate_rows())
-    else:
-        prices = protocol.prices()
-        thresholds = protocol.liquidation_thresholds()
-        candidates = protocol.positions_with_debt()
+    valuation = protocol.valuation()
+    candidates = valuation.positions(valuation.candidate_rows())
+    return unprofitable_cell(protocol, transaction_fee_usd, candidates, valuation.prices, valuation.thresholds)
+
+
+def unprofitable_cell(
+    protocol: FixedSpreadProtocol,
+    transaction_fee_usd: float,
+    candidates: Sequence[Position],
+    prices: Mapping[str, float],
+    thresholds: Mapping[str, float],
+) -> UnprofitableCell:
+    """Table 3's cell over ``candidates``: the liquidatable ones among them,
+    and those whose best fixed-spread bonus does not cover the fee."""
     liquidatable = 0
     unprofitable = 0
     unprofitable_collateral = 0.0

@@ -72,6 +72,7 @@ tvl = protocol.valuation().pinned_total_collateral_usd()"""
         "repro/protocols/",
         "repro/experiments/",
         "repro/analytics/",
+        "repro/reference.py",
     )
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:

@@ -13,15 +13,13 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
-
 import numpy as np
 
 from .. import sanitize
 from ..chain.chain import Blockchain
 from ..chain.types import Address, make_address
 from ..core.position import DUST, Position
-from ..core.position_book import BookScan, BookValuation, PositionBook
+from ..core.position_book import BookValuation, PositionBook
 from ..core.terminology import LiquidationParams
 from ..oracle.chainlink import PriceOracle
 from ..telemetry import runtime as telemetry
@@ -82,12 +80,6 @@ class LendingProtocol(abc.ABC):
         self.positions: dict[Address, Position] = {}
         #: Columnar mirror of every position for vectorized health scans.
         self.book = PositionBook()
-        #: ``"vectorized"`` (default) routes aggregate valuations (totals,
-        #: snapshots, utilization, analytics sweeps) through the book's
-        #: :class:`~repro.core.position_book.BookValuation`; ``"scalar"``
-        #: keeps the legacy per-position walks.  Both backends produce
-        #: bit-identical outputs (``tests/test_valuation_equivalence.py``).
-        self.aggregate_backend: str = "vectorized"
         self._valuation_cache: BookValuation | None = None
         self._valuation_key: tuple[int, int, int] | None = None
         self._valuation_hits = 0
@@ -165,22 +157,6 @@ class LendingProtocol(abc.ABC):
     def liquidatable_positions(self) -> list[Position]:
         """All positions whose health factor is below 1 at current prices."""
         return self.liquidatable_candidates()
-
-    def book_scan(self) -> BookScan:
-        """One vectorized valuation of every position at current prices."""
-        return self.book.scan(self.prices(), self.liquidation_thresholds())
-
-    def uses_book_aggregates(self) -> bool:
-        """Whether aggregate valuations run through the book (the default).
-
-        Raises :class:`ValueError` on an unknown :attr:`aggregate_backend`.
-        """
-        backend = self.aggregate_backend
-        if backend == "vectorized":
-            return True
-        if backend == "scalar":
-            return False
-        raise ValueError(f"unknown aggregate backend {backend!r}")
 
     def valuation(self) -> BookValuation:
         """The :class:`BookValuation` of every position at current prices.
@@ -267,7 +243,8 @@ class LendingProtocol(abc.ABC):
 
         The book flags candidate rows with a safety margin and each flagged
         row is confirmed with the scalar health factor, so the result is
-        exactly the set (and order) a scalar sweep over ``positions`` finds.
+        exactly the set (and order) a scalar sweep over ``positions`` finds
+        (:func:`repro.reference.liquidatable_candidates`).
 
         This stays on the lean :class:`BookScan` (two matrix-vector
         products) rather than the full :meth:`valuation` materialization:
@@ -387,17 +364,14 @@ class LendingProtocol(abc.ABC):
         """Borrowed share of the pool's liquidity for ``symbol`` (rough estimate).
 
         The per-symbol outstanding total comes from the book's debt column
-        (bit-identical to the per-position walk — non-holders contribute
-        exact zeros), so the per-market accrual sweep no longer crawls the
-        whole population once per market.
+        (bit-identical to the per-position walk of
+        :func:`repro.reference.utilization` — non-holders contribute exact
+        zeros), so the per-market accrual sweep does not crawl the whole
+        population once per market.
         """
         token = self.registry.get(symbol)
         available = token.balance_of(self.address)
-        if self.uses_book_aggregates():
-            borrowed = self.book.debt_total(symbol.upper())
-        else:
-            # repro: lint-ok(SUM002 scalar reference backend: this walk *is* the pinned order)
-            borrowed = sum(position.debt.get(symbol.upper(), 0.0) for position in self.positions.values())
+        borrowed = self.book.debt_total(symbol.upper())
         total = available + borrowed
         if total <= 0:
             return 0.0
@@ -420,13 +394,12 @@ class LendingProtocol(abc.ABC):
     def _accrual_positions(self) -> list[Position]:
         """The positions an accrual sweep must touch.
 
-        With book aggregates on, debt-free positions are skipped via the
-        book's debt columns; ``scale_debts`` is a no-op on every skipped
-        position, so both backends mutate identical state.
+        Debt-free positions are skipped via the book's debt columns;
+        ``scale_debts`` is a no-op on every skipped position, so this
+        mutates the same state as touching every position
+        (:func:`repro.reference.accrual_positions`).
         """
-        if self.uses_book_aggregates():
-            return self.book.positions_with_debt_entries()
-        return list(self.positions.values())
+        return self.book.positions_with_debt_entries()
 
     # ------------------------------------------------------------------ #
     # Aggregates and snapshots
@@ -434,73 +407,35 @@ class LendingProtocol(abc.ABC):
     def total_collateral_usd(self) -> float:
         """Total USD value of collateral locked in the protocol.
 
-        Book-backed (one vectorized pass, pinned reduction) by default;
-        bit-identical to the legacy per-position walk either way.
+        One vectorized pass with a pinned reduction, bit-identical to the
+        per-position walk (:func:`repro.reference.total_collateral_usd`).
         """
-        if self.uses_book_aggregates():
-            return self.valuation().pinned_total_collateral_usd()
-        prices = self.prices()
-        # The 0.0 start keeps the all-empty edge a float, matching the
-        # pinned reduction's JSON token (sum alone would return int 0).
-        # repro: lint-ok(SUM002 scalar reference backend: this walk *is* the pinned order)
-        return sum((position.total_collateral_usd(prices) for position in self.positions.values()), 0.0)
+        return self.valuation().pinned_total_collateral_usd()
 
     def total_debt_usd(self) -> float:
-        """Total USD value of outstanding debt (book-backed by default)."""
-        if self.uses_book_aggregates():
-            return self.valuation().pinned_total_debt_usd()
-        prices = self.prices()
-        # repro: lint-ok(SUM002 scalar reference backend: this walk *is* the pinned order)
-        return sum((position.total_debt_usd(prices) for position in self.positions.values()), 0.0)
-
-    def collateral_volume_usd(self, symbols: Iterable[str] | None = None) -> float:
-        """USD value of collateral, optionally restricted to ``symbols``."""
-        prices = self.prices()
-        wanted = {symbol.upper() for symbol in symbols} if symbols is not None else None
-        total = 0.0
-        for position in self.positions.values():
-            for symbol, amount in position.collateral.items():
-                if wanted is not None and symbol not in wanted:
-                    continue
-                total += amount * prices.get(symbol, 0.0)
-        return total
+        """Total USD value of outstanding debt (pinned, like the total above)."""
+        return self.valuation().pinned_total_debt_usd()
 
     def snapshot(self) -> dict[str, object]:
         """Archive snapshot of positions and aggregates at the current block.
 
-        With book aggregates on (the default), the totals and every
-        position's health factor come from one shared
+        The totals and every position's health factor come from one shared
         :meth:`valuation` — the price vector is fetched once per snapshot
         instead of once per aggregate — and the pinned accessors keep the
-        archived numbers bit-identical to the scalar walk.
+        archived numbers bit-identical to the scalar walk
+        (:func:`repro.reference.snapshot`).
         """
-        if self.uses_book_aggregates():
-            valuation = self.valuation()
-            prices = valuation.prices
-            thresholds = valuation.thresholds
-            total_collateral = valuation.pinned_total_collateral_usd()
-            total_debt = valuation.pinned_total_debt_usd()
-            health_factors = valuation.pinned_health_factors()
-            open_rows = np.flatnonzero(valuation.has_debt | valuation.has_collateral)
-            valued_positions = [
-                (self.book.position_at(row), health_factors[row]) for row in open_rows.tolist()
-            ]
-        else:
-            prices = self.prices()
-            thresholds = self.liquidation_thresholds()
-            total_collateral = self.total_collateral_usd()
-            total_debt = self.total_debt_usd()
-            valued_positions = [
-                (position, position.health_factor(prices, thresholds))
-                for position in self.open_positions()
-            ]
+        valuation = self.valuation()
+        health_factors = valuation.pinned_health_factors()
+        open_rows = np.flatnonzero(valuation.has_debt | valuation.has_collateral)
+        valued_positions = [(self.book.position_at(row), health_factors[row]) for row in open_rows.tolist()]
         return {
             "block": self.chain.current_block,
             "platform": self.name,
-            "prices": dict(prices),
-            "thresholds": dict(thresholds),
-            "total_collateral_usd": total_collateral,
-            "total_debt_usd": total_debt,
+            "prices": dict(valuation.prices),
+            "thresholds": dict(valuation.thresholds),
+            "total_collateral_usd": valuation.pinned_total_collateral_usd(),
+            "total_debt_usd": valuation.pinned_total_debt_usd(),
             "positions": [
                 {
                     "owner": position.owner.value,
@@ -521,8 +456,3 @@ class LendingProtocol(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} name={self.name!r} positions={len(self.positions)}>"
-
-
-def thresholds_from_markets(markets: Mapping[str, MarketConfig]) -> dict[str, float]:
-    """Utility mirroring :meth:`LendingProtocol.liquidation_thresholds` for raw maps."""
-    return {symbol: market.liquidation_threshold for symbol, market in markets.items()}

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from ..chain.chain import Blockchain
 from ..chain.types import Address, make_address
+from ..core.position import Position
 from ..oracle.chainlink import PriceOracle
 from ..tokens.registry import TokenRegistry
 from .base import MarketConfig
@@ -84,31 +85,7 @@ class DydxProtocol(FixedSpreadProtocol):
         Type I bad debt at block 12344944" (Section 4.4.2).
         """
         written_off = 0.0
-        # The columnar book flags CR < 1 candidates (with a safety margin);
-        # each is confirmed with the scalar ratio before being written off,
-        # so the set matches a scalar sweep over every indebted position.
-        # With book aggregates on, the candidate pass and the written-off
-        # values come from the block's shared (cached) valuation, whose
-        # pinned per-row values are bit-identical to the scalar formulas.
-        if self.uses_book_aggregates():
-            valuation = self.valuation()
-            prices = valuation.prices
-            rows = valuation.under_collateralized_rows()
-            row_values = valuation.pinned_row_values
-        else:
-            prices = self.prices()
-            scan = self.book.scan(prices, self.liquidation_thresholds())
-            rows = scan.under_collateralized_rows()
-            row_values = None
-        for row in rows.tolist():
-            position = self.book.position_at(row)
-            if not position.is_under_collateralized(prices):
-                continue
-            if row_values is not None:
-                collateral_usd, debt_usd = row_values(row)
-            else:
-                debt_usd = position.total_debt_usd(prices)
-                collateral_usd = position.total_collateral_usd(prices)
+        for position, collateral_usd, debt_usd in self._under_collateralized():
             written_off += debt_usd - collateral_usd
             # The fund absorbs the shortfall: debt and collateral are cleared.
             position.clear()
@@ -123,6 +100,26 @@ class DydxProtocol(FixedSpreadProtocol):
             )
         self._insurance_written_off_usd += written_off
         return written_off
+
+    def _under_collateralized(self) -> list[tuple[Position, float, float]]:
+        """Positions with CR < 1 and their ``(collateral_usd, debt_usd)``.
+
+        The block's shared (cached) valuation flags CR < 1 candidates with a
+        safety margin; each is confirmed with the scalar ratio, so the set
+        matches a scalar sweep over every indebted position, and the pinned
+        per-row values are bit-identical to the scalar formulas
+        (:func:`repro.reference.dydx_under_collateralized`).  Everything is
+        valued before the write-off clears any position.
+        """
+        valuation = self.valuation()
+        prices = valuation.prices
+        found: list[tuple[Position, float, float]] = []
+        for row in valuation.under_collateralized_rows().tolist():
+            position = self.book.position_at(row)
+            if position.is_under_collateralized(prices):
+                collateral_usd, debt_usd = valuation.pinned_row_values(row)
+                found.append((position, collateral_usd, debt_usd))
+        return found
 
 
 def make_dydx(chain: Blockchain, oracle: PriceOracle, registry: TokenRegistry) -> DydxProtocol:

@@ -8,7 +8,8 @@ dynamic complement of ``repro lint``'s static rules:
   the refreshed collateral/debt rows (a NaN would silently poison every
   downstream pinned reduction);
 * the engine cross-checks the vectorized liquidatable-candidate scan
-  against the scalar sweep every :func:`stride`-th step;
+  against the scalar sweep of :func:`repro.reference.liquidatable_candidates`
+  every :func:`stride`-th step;
 * :meth:`~repro.chain.mempool.Mempool.check_invariants` revalidates the
   twin-heap bookkeeping (pack/evict/FIFO views agree with the live size,
   sort keys match payloads) after every mined block;

@@ -18,9 +18,6 @@ Quickstart::
     from repro import scenarios
 
     result = scenarios.get("march-2020-only").run(seed=7)
-
-The legacy ``repro.simulation.scenarios`` entry points (``build_scenario``,
-``run_scenario``, ``build_price_feed``) are thin shims over this package.
 """
 
 from .builder import (

@@ -1,7 +1,7 @@
 """The composable scenario builder.
 
-:class:`ScenarioBuilder` decomposes the former monolithic ``build_scenario``
-pipeline into independently overridable component factories::
+:class:`ScenarioBuilder` builds a world from independently overridable
+component factories::
 
     engine = (
         ScenarioBuilder(ScenarioConfig.small())
@@ -15,10 +15,9 @@ pipeline into independently overridable component factories::
 Every stage — price feed, gas market, chain, oracles, protocols, flash
 loans, AMM, agent population — is a factory taking a :class:`BuildContext`
 (which accumulates the components built so far), so a scenario can swap any
-one layer without forking the rest.  The default factories reproduce the
-paper's calibrated world bit-for-bit: ``build_scenario(config)`` is now a
-thin shim over ``ScenarioBuilder(config).build()`` and a seed-pinned
-equivalence test holds the two paths together.
+one layer without forking the rest.  The default factories build the
+paper's calibrated world: ``ScenarioBuilder(config).build()`` for a
+:class:`ScenarioConfig`, ``.build_feed()`` for its price history alone.
 """
 
 from __future__ import annotations

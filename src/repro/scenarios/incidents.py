@@ -227,10 +227,9 @@ class AuctionReconfig(Incident):
 def default_incidents(config: ScenarioConfig) -> tuple[Incident, ...]:
     """The paper's calibrated incident set, derived from ``config.incidents``.
 
-    Reproduces exactly what the legacy ``build_scenario`` pipeline hardcoded:
-    the March 2020 crash-plus-congestion, the February 2021 drawdown, the
-    November 2020 Compound DAI oracle irregularity, and MakerDAO's subsequent
-    auction reconfiguration.
+    These are the March 2020 crash-plus-congestion, the February 2021
+    drawdown, the November 2020 Compound DAI oracle irregularity, and
+    MakerDAO's subsequent auction reconfiguration.
     """
     incidents = config.incidents
     return (

@@ -1,9 +1,6 @@
-"""Scenario simulation: engine, configuration, calibrated study-window scenario.
+"""Scenario simulation: the block-stride engine and its configuration.
 
-The scenario construction helpers (``build_scenario``, ``run_scenario``,
-``build_price_feed``) are resolved lazily: they are thin shims over the
-composable :mod:`repro.scenarios` package, and loading them eagerly here
-would create an import cycle with it.
+Worlds are built by the composable :mod:`repro.scenarios` package.
 """
 
 from .config import (
@@ -19,9 +16,6 @@ from .config import (
 )
 from .engine import LiquidationOpportunity, ScheduledEvent, SimulationEngine, SimulationResult
 from .market import MarketError, MarketMaker
-
-#: Names re-exported from the (lazily imported) scenario shim module.
-_SCENARIO_EXPORTS = frozenset({"build_price_feed", "build_scenario", "run_scenario"})
 
 __all__ = [
     "FEBRUARY_2021_CRASH_BLOCK",
@@ -39,20 +33,5 @@ __all__ = [
     "ScheduledEvent",
     "SimulationEngine",
     "SimulationResult",
-    "build_price_feed",
-    "build_scenario",
-    "run_scenario",
 ]
 
-
-def __getattr__(name: str):
-    if name == "scenarios" or name in _SCENARIO_EXPORTS:
-        import importlib
-
-        module = importlib.import_module(".scenarios", __name__)
-        return module if name == "scenarios" else getattr(module, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | _SCENARIO_EXPORTS | {"scenarios"})

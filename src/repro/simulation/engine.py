@@ -201,12 +201,6 @@ class SimulationEngine:
         self.market_maker = market_maker or MarketMaker(oracle=oracle, registry=registry)
         self.agents: list = []
         self.scheduled_events: list[ScheduledEvent] = []
-        #: ``"vectorized"`` (default) scans positions through each protocol's
-        #: columnar :class:`~repro.core.position_book.PositionBook`;
-        #: ``"scalar"`` keeps the legacy per-position sweep.  Both backends
-        #: produce bit-identical runs (see ``tests/test_scan_equivalence.py``).
-        self.scan_backend: str = "vectorized"
-        self._aggregate_backend: str = "vectorized"
         #: The typed event stream.  Attach probes with :meth:`attach_probe`;
         #: with none attached every emission site is skipped entirely.
         self.bus = ObserverBus()
@@ -305,35 +299,6 @@ class SimulationEngine:
         """Protocols using the atomic fixed spread mechanism."""
         return [protocol for protocol in self.protocols if isinstance(protocol, FixedSpreadProtocol)]
 
-    @property
-    def aggregate_backend(self) -> str:
-        """How the protocols compute aggregate valuations (totals,
-        snapshots, utilization, analytics sweeps): ``"vectorized"``
-        (default) routes them through each protocol's columnar book,
-        ``"scalar"`` keeps the legacy per-position walks.  Both backends
-        produce bit-identical runs and reports
-        (``tests/test_valuation_equivalence.py``).  Setting it propagates to
-        every protocol, so analytics over the finished
-        :class:`SimulationResult` follow the same backend.
-        """
-        return self._aggregate_backend
-
-    @aggregate_backend.setter
-    def aggregate_backend(self, backend: str) -> None:
-        self._aggregate_backend = backend
-        self._push_aggregate_backend()
-
-    def _push_aggregate_backend(self) -> None:
-        """Propagate the engine's backend choice to every protocol.
-
-        Called on assignment and again at the start of every :meth:`run`:
-        protocols appended or swapped into ``self.protocols`` after the
-        setter ran would otherwise silently keep their own default while
-        the engine property reports something else.
-        """
-        for protocol in self.protocols:
-            protocol.aggregate_backend = self._aggregate_backend
-
     def is_active(self, protocol: LendingProtocol) -> bool:
         """Whether the chain has reached the protocol's inception block."""
         return self.chain.current_block >= protocol.inception_block
@@ -342,31 +307,17 @@ class SimulationEngine:
     # Per-step opportunity scans (shared by all liquidator / keeper agents)
     # ------------------------------------------------------------------ #
     def _liquidatable_candidates(self, protocol: LendingProtocol, require_collateral: bool = False) -> list[Position]:
-        """Liquidatable positions of ``protocol`` via the selected backend.
+        """Liquidatable positions of ``protocol`` via the columnar scan.
 
-        The vectorized backend flags candidate rows with the columnar book
-        and confirms each with the scalar health factor, so both backends
-        return exactly the same positions in the same order.
+        The book flags candidate rows and each is confirmed with the scalar
+        health factor, so the result is exactly the positions (and order) a
+        scalar sweep returns; under the sanitizer every stride-th step
+        checks that against :func:`repro.reference.liquidatable_candidates`.
         """
-        if self.scan_backend == "vectorized":
-            candidates = protocol.liquidatable_candidates(require_collateral=require_collateral)
-            if sanitize.enabled() and self.step_index % sanitize.stride() == 0:
-                self._cross_check_scan(protocol, require_collateral, candidates)
-            return candidates
-        if self.scan_backend != "scalar":
-            raise ValueError(f"unknown scan backend {self.scan_backend!r}")
-        return self._scalar_candidates(protocol, require_collateral)
-
-    def _scalar_candidates(self, protocol: LendingProtocol, require_collateral: bool) -> list[Position]:
-        """The reference backend: a scalar sweep of every indebted position."""
-        prices = protocol.prices()
-        thresholds = protocol.liquidation_thresholds()
-        return [
-            position
-            for position in protocol.positions_with_debt()
-            if (position.has_collateral or not require_collateral)
-            and position.is_liquidatable(prices, thresholds)
-        ]
+        candidates = protocol.liquidatable_candidates(require_collateral=require_collateral)
+        if sanitize.enabled() and self.step_index % sanitize.stride() == 0:
+            self._cross_check_scan(protocol, require_collateral, candidates)
+        return candidates
 
     def _cross_check_scan(
         self,
@@ -376,14 +327,18 @@ class SimulationEngine:
     ) -> None:
         """Sanitizer: the vectorized scan must equal the scalar sweep exactly.
 
-        The vectorized backend is only allowed to exist because its
+        The vectorized scan is only allowed to exist because its
         margin-prefilter + scalar-confirmation construction returns the same
         positions in the same order as the reference sweep.  This re-derives
         the scalar answer every sanitize-stride-th step and insists on
         identity — catching a desynchronised book (stale rows the dirty
         tracking missed) at the step it first diverges.
         """
-        reference = self._scalar_candidates(protocol, require_collateral)
+        # Imported here: repro.reference builds on the analytics layer,
+        # which imports this module.
+        from ..reference import liquidatable_candidates
+
+        reference = liquidatable_candidates(protocol, require_collateral)
         if [id(p) for p in candidates] != [id(p) for p in reference]:
             fast = [str(position.owner) for position in candidates]
             slow = [str(position.owner) for position in reference]
@@ -490,7 +445,6 @@ class SimulationEngine:
     def run(self, n_steps: int | None = None) -> SimulationResult:
         """Run until the configured end block (or for ``n_steps`` strides)."""
         remaining = n_steps if n_steps is not None else self.config.n_steps
-        self._push_aggregate_backend()  # cover protocols swapped in since the setter ran
         bus = self.bus if self.bus.active else None
         if bus:
             bus.emit(

@@ -13,20 +13,15 @@ from repro.analytics.records import extract_liquidations
 from repro.chain.chain import Blockchain, ChainConfig
 from repro.oracle.chainlink import OracleConfig, PriceOracle
 from repro.oracle.feed import PriceFeed
+from repro.scenarios import ScenarioBuilder
 from repro.simulation.config import ScenarioConfig
-from repro.simulation.scenarios import build_scenario
 from repro.tokens.registry import default_registry
 
 
 @pytest.fixture(scope="session")
 def small_result():
-    """A completed small-scenario simulation (three months around March 2020).
-
-    Deliberately built through the legacy ``build_scenario`` entry point so
-    that it doubles as the reference world for the builder-equivalence test
-    in ``test_scenarios_api.py``.
-    """
-    engine = build_scenario(ScenarioConfig.small(seed=11))
+    """A completed small-scenario simulation (three months around March 2020)."""
+    engine = ScenarioBuilder(ScenarioConfig.small(seed=11)).build()
     return engine.run()
 
 

@@ -19,7 +19,7 @@ import json
 import numpy as np
 import pytest
 
-from repro import sanitize, scenarios
+from repro import reference, sanitize, scenarios
 from repro.chain.mempool import Mempool
 from repro.chain.transaction import Transaction
 from repro.chain.types import make_address, reset_id_counters
@@ -31,7 +31,7 @@ STRIDES = 30
 SEED = 31
 
 
-def run_scenario(name: str, *, sanitized: bool):
+def run_truncated(name: str, *, sanitized: bool):
     reset_id_counters()
     builder = scenarios.get(name).builder(seed=SEED)
     config = builder.config
@@ -65,8 +65,8 @@ def fingerprint(result) -> str:
 
 @pytest.mark.parametrize("name", scenarios.names())
 def test_sanitized_runs_are_bit_identical(name):
-    bare = run_scenario(name, sanitized=False)
-    sanitized = run_scenario(name, sanitized=True)
+    bare = run_truncated(name, sanitized=False)
+    sanitized = run_truncated(name, sanitized=True)
     assert fingerprint(sanitized) == fingerprint(bare)
 
 
@@ -178,7 +178,7 @@ class TestScanCrossCheck:
         self.crash_prices(engine, protocol)
         protocol.book.sync()
         with sanitize.scoped(True, check_stride=1):
-            truly = engine._scalar_candidates(protocol, False)
+            truly = reference.liquidatable_candidates(protocol)
             assert truly, "price crash must make positions liquidatable"
             # Corrupt the columnar mirror behind the dirty tracking: zero the
             # victim's debt row, so the vectorized prefilter cannot flag it.
@@ -194,7 +194,7 @@ class TestScanCrossCheck:
         self.crash_prices(engine, protocol)
         with sanitize.scoped(True, check_stride=1):
             candidates = engine._liquidatable_candidates(protocol)
-            assert candidates == engine._scalar_candidates(protocol, False)
+            assert candidates == reference.liquidatable_candidates(protocol)
 
 
 class TestMempoolInvariants:

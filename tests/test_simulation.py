@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.chain.transaction import TxKind
+from repro.scenarios import ScenarioBuilder, post_incident_auction_config, pre_incident_auction_config
 from repro.simulation.config import ScenarioConfig
-from repro.simulation.scenarios import build_price_feed, build_scenario, pre_incident_auction_config, post_incident_auction_config
 
 
 class TestScenarioConfig:
@@ -32,14 +32,14 @@ class TestScenarioConfig:
 class TestPriceFeedScenario:
     def test_feed_covers_window_and_assets(self):
         config = ScenarioConfig.small()
-        feed = build_price_feed(config)
+        feed = ScenarioBuilder(config).build_feed()
         assert feed.end_block >= config.end_block
         for symbol in ("ETH", "WBTC", "DAI", "USDC", "USDT"):
             assert feed.has(symbol)
 
     def test_march_2020_crash_present_in_eth_path(self):
         config = ScenarioConfig.small()
-        feed = build_price_feed(config)
+        feed = ScenarioBuilder(config).build_feed()
         crash_block = config.incidents.march_2020_block
         before = feed.price("ETH", crash_block - 5 * config.feed_blocks_per_step)
         after = feed.price("ETH", crash_block + 5 * config.feed_blocks_per_step)
@@ -47,14 +47,14 @@ class TestPriceFeedScenario:
 
     def test_stablecoins_remain_near_peg(self):
         config = ScenarioConfig.small()
-        feed = build_price_feed(config)
+        feed = ScenarioBuilder(config).build_feed()
         dai = feed.series["DAI"]
         assert abs(float(np.median(dai)) - 1.0) < 0.05
 
     def test_same_seed_gives_identical_feed(self):
         config = ScenarioConfig.small(seed=3)
-        first = build_price_feed(config)
-        second = build_price_feed(config)
+        first = ScenarioBuilder(config).build_feed()
+        second = ScenarioBuilder(config).build_feed()
         np.testing.assert_allclose(first.series["ETH"], second.series["ETH"])
 
 
@@ -106,7 +106,7 @@ class TestEngineRun:
 
     def test_reproducibility_of_engine_construction(self):
         config = ScenarioConfig.small(seed=21).with_overrides(end_block=9_780_000)
-        first = build_scenario(config).run()
-        second = build_scenario(config).run()
+        first = ScenarioBuilder(config).build().run()
+        second = ScenarioBuilder(config).build().run()
         assert len(first.chain.events) == len(second.chain.events)
         assert first.chain.events.names() == second.chain.events.names()

@@ -45,7 +45,7 @@ STRIDES = 30
 SEED = 23
 
 
-def run_scenario(name: str, telemetered: bool):
+def run_truncated(name: str, telemetered: bool):
     """One truncated scenario run; returns ``(result, telemetry_or_None)``."""
     reset_id_counters()
     builder = scenarios.get(name).builder(seed=SEED)
@@ -72,8 +72,8 @@ def event_fingerprint(result):
 class TestBitIdentity:
     @pytest.mark.parametrize("name", scenarios.names())
     def test_telemetry_on_and_off_replay_identically(self, name):
-        bare, _ = run_scenario(name, telemetered=False)
-        traced, telemetry = run_scenario(name, telemetered=True)
+        bare, _ = run_truncated(name, telemetered=False)
+        traced, telemetry = run_truncated(name, telemetered=True)
 
         assert event_fingerprint(traced) == event_fingerprint(bare)
         assert to_jsonable(extract_liquidations(traced)) == to_jsonable(
